@@ -19,7 +19,8 @@ Modes:
 ``live WORKLOAD SEED SOURCE PCAP``
     Follow ``SOURCE`` appended chunk by chunk to a fresh ``PCAP``:
     :data:`CLOSED_PASSES` closed-loop passes, then one open-loop pass at
-    the workload's offered rate.
+    the workload's offered rate, with a reference sample before each
+    pass and after the last.
 ``stage STAGE WORKLOAD SEED SCALE PCAP SPANS``
     Run one stage in-process and time it; with ``SPANS`` other than
     ``-`` every layer boundary is traced and the spans written there.
@@ -35,6 +36,11 @@ import repro.cli
 
 _T_IMPORTED = time.monotonic()
 
+# Imported by name from this directory, which PYTHONSAFEPATH leaves off
+# sys.path.
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+
+import reference  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -125,9 +131,16 @@ def live_passes(workload: str, seed: int, source: str, path: str) -> dict:
         while complete < len(ends) and ends[complete] <= hi:
             complete += 1
         due.append(complete / workloads.WORKLOADS[workload].offered_rps)
-    closed = [follow(data, path, chunks) for _ in range(CLOSED_PASSES)]
+    # A session lasts seconds, longer than the machine holds one speed, so
+    # each pass is scaled by the reference samples taken around it.
+    references = [reference.seconds()]
+    closed = []
+    for _ in range(CLOSED_PASSES):
+        closed.append(follow(data, path, chunks))
+        references.append(reference.seconds())
     opened = follow(data, path, chunks, due)
-    return {"closed": closed, "open": opened}
+    references.append(reference.seconds())
+    return {"closed": closed, "open": opened, "references": references}
 
 
 def run_stage(stage, workload, seed, scale, pcap, spans_path) -> dict:

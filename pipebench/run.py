@@ -3,7 +3,7 @@
 
 Usage (from the root of a checkout; nothing needs building)::
 
-    python3 pipebench/run.py --workload month --seed 7 --seconds 32 --trace 0
+    python3 pipebench/run.py --workload month --seed 7 --seconds 60 --trace 0
     python3 pipebench/run.py --workload all          # every workload in turn
 
 ``--trace 0`` times fresh processes, serially, one at a time: each cycle
@@ -44,8 +44,13 @@ import time
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 CHILD = os.path.join(HERE, "child.py")
+# The sibling modules are imported by name; an interpreter started with
+# PYTHONSAFEPATH set leaves the script's directory off sys.path.
+if HERE not in sys.path:
+    sys.path.insert(0, HERE)
 
 import attribution  # noqa: E402
+import reference  # noqa: E402
 import spans  # noqa: E402
 import workloads  # noqa: E402
 
@@ -65,17 +70,6 @@ END_TO_END = (
 #: run has at least two passes of at least 200 chunks, so at least 20
 #: chunks lie beyond it.  A fixed percentile keeps runs comparable.
 TAIL_PERCENTILE = 95
-#: The reference task: a fresh isolated interpreter importing these stdlib
-#: modules.  Its time on the reference machine (a quiet minute on the
-#: 2-CPU container the benchmark was built on, Python 3.11) is
-#: REFERENCE_S.
-REFERENCE_IMPORTS = (
-    "argparse", "ast", "asyncio", "csv", "dataclasses", "decimal", "difflib",
-    "email.parser", "fractions", "http.client", "inspect", "json", "logging",
-    "pickle", "statistics", "tarfile", "tokenize", "typing", "unittest",
-    "urllib.request", "xml.dom.minidom", "zipfile",
-)
-REFERENCE_S = 0.16
 #: A traced run whose overhead reads below minus the timing metrics' bound
 #: measured noise, not tracing: it is counted as a failed operation.
 OVERHEAD_FLOOR = -0.25
@@ -99,6 +93,10 @@ class Session:
         self.env["PYTHONPATH"] = os.pathsep.join(
             filter(None, (source, os.environ.get("PYTHONPATH")))
         )
+        # The render digests are of UTF-8 bytes, and the CLI prints
+        # non-ASCII text: a locale whose encoding lacks it would make the
+        # commands fail or change what is digested.
+        self.env["PYTHONIOENCODING"] = "utf-8"
 
     def check(self, ok: bool, what: str) -> bool:
         self.attempted += 1
@@ -216,25 +214,6 @@ def check_digests(session, workload, seed, scale, pcap_digests, render_digests):
         )
 
 
-def reference_seconds() -> float:
-    """Time one fixed task that never touches the program.
-
-    The box this benchmark was built on is a shared virtual machine whose
-    speed drifts by a third within minutes, and every wall time of a run
-    moves with it.  The task — start an isolated interpreter, import a
-    fixed set of stdlib modules — is the kind of work the program's own
-    commands do, and it tracked their drift where a tight arithmetic loop
-    did not.  A run samples it before each command and once at the end.
-    """
-    start = time.monotonic()
-    subprocess.run(
-        [sys.executable, "-I", "-c", "import " + ", ".join(REFERENCE_IMPORTS)],
-        check=True,
-        timeout=60,
-    )
-    return time.monotonic() - start
-
-
 def percentile(values: list, pct: float) -> float:
     """Nearest-rank percentile."""
     ordered = sorted(values)
@@ -245,11 +224,13 @@ def percentile(values: list, pct: float) -> float:
 def measured_run(session, workload, seed, scale, seconds) -> dict:
     """Untraced cycles of whole commands: every end-to-end metric.
 
-    A reference sample (:func:`reference_seconds`) is taken before every
+    A reference sample (:func:`reference.seconds`) is taken before every
     command and once after the last.  A command's slowdown is the mean of
-    the two samples around it over :data:`REFERENCE_S`; its times are
+    the two samples around it over :data:`reference.REFERENCE_S`; its times are
     divided by it and its rates multiplied, so every sample reads as on
-    the reference machine.  The raw medians are printed alongside.
+    the reference machine.  Each pass of a live session is scaled by the
+    samples the session takes around that pass.  The raw medians are
+    printed alongside.
     """
     spec = workloads.WORKLOADS[workload]
     pcap = os.path.join(session.workdir, "capture.pcap")
@@ -261,11 +242,11 @@ def measured_run(session, workload, seed, scale, seconds) -> dict:
     try:
         while True:
             cycle_start = time.monotonic()
-            references.append(reference_seconds())
+            references.append(reference.seconds())
             sim_s, records, setup = simulate(session, workload, seed, scale, pcap)
             setups = [setup]
             pcap_digests.add(sha256_file(pcap))
-            references.append(reference_seconds())
+            references.append(reference.seconds())
             out, index_s, report = session.child("index", "cli", "index", pcap)
             setups.append(report["setup_s"])
             indexed = parse_int(r"from (\d+) records", out)
@@ -273,14 +254,14 @@ def measured_run(session, workload, seed, scale, seconds) -> dict:
                 indexed == records,
                 "simulate wrote %d records, index total_records %d" % (records, indexed),
             )
-            references.append(reference_seconds())
+            references.append(reference.seconds())
             out, analyze_s, report = session.child(
                 "analyze", "cli", "analyze", pcap, "--tables", *workloads.TABLES
             )
             setups.append(report["setup_s"])
             render = hashlib.sha256(out).hexdigest()
             render_digests.add(render)
-            references.append(reference_seconds())
+            references.append(reference.seconds())
             _out, _wall, live = session.child(
                 "live", "live", workload, seed, pcap,
                 os.path.join(session.workdir, "live.pcap"),
@@ -301,12 +282,12 @@ def measured_run(session, workload, seed, scale, seconds) -> dict:
                 break
     except Failed:
         pass
-    references.append(reference_seconds())
+    references.append(reference.seconds())
     check_digests(session, workload, seed, scale, pcap_digests, render_digests)
     if not cycles:
         return {}
     slowdowns = [
-        (references[k] + references[k + 1]) / 2 / REFERENCE_S
+        reference.slowdown(references[k], references[k + 1])
         for k in range(len(references) - 1)
     ]
     samples = {name: ([], []) for name, _unit in END_TO_END}  # (raw, scaled)
@@ -330,11 +311,13 @@ def measured_run(session, workload, seed, scale, seconds) -> dict:
         samples["pipeline_rps"][1].append(
             records / sum(wall / slowdown for wall, slowdown in zip(walls, slow))
         )
-        for loop in live["closed"]:
+        inner = live["references"]
+        for k, loop in enumerate(live["closed"]):
             closed[0] += loop["records"]
             closed[1] += loop["elapsed_s"]
-            closed[2] += loop["elapsed_s"] / slow[3]
-        lags.extend((lag, slow[3]) for lag in live["open"]["lags_s"])
+            closed[2] += loop["elapsed_s"] / reference.slowdown(inner[k], inner[k + 1])
+        opened = reference.slowdown(inner[-2], inner[-1])
+        lags.extend((lag, opened) for lag in live["open"]["lags_s"])
         late.extend(live["open"]["late_s"])
     samples["live_rps"] = ([closed[0] / closed[1]], [closed[0] / closed[2]])
     for name, pct in (("live_lag_p50_ms", 50), ("live_lag_tail_ms", TAIL_PERCENTILE)):
@@ -351,8 +334,8 @@ def measured_run(session, workload, seed, scale, seconds) -> dict:
         "%.3f–%.3f)"
         % (workload, len(cycles), cycles[-1][0], spec.offered_rps,
            1000 * statistics.median(late), 1000 * max(late),
-           statistics.median(references) / REFERENCE_S, len(references),
-           min(references) / REFERENCE_S, max(references) / REFERENCE_S)
+           statistics.median(references) / reference.REFERENCE_S, len(references),
+           min(references) / reference.REFERENCE_S, max(references) / reference.REFERENCE_S)
     )
     notes = {
         "live_rps": "records over the closed-loop time of %d passes"
@@ -518,7 +501,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", default="all", choices=("all", *workloads.WORKLOADS))
     parser.add_argument("--seed", type=int, default=workloads.DEFAULT_SEED)
-    parser.add_argument("--seconds", type=float, default=32)
+    parser.add_argument("--seconds", type=float, default=60)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument(
         "--scale", type=float, default=None,
@@ -526,6 +509,8 @@ def main(argv=None) -> int:
         "pinned only at the workload's own)",
     )
     args = parser.parse_args(argv)
+    for stream in (sys.stdout, sys.stderr):
+        stream.reconfigure(errors="backslashreplace")
     if not os.path.isfile(os.path.join(ROOT, "src", "repro", "cli.py")):
         print("pipebench: no repro sources under %s/src" % ROOT, file=sys.stderr)
         return 2

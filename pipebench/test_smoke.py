@@ -49,7 +49,8 @@ def _spec() -> dict:
 
 def test_benchmark_json_matches_the_code():
     spec = _spec()
-    assert [w["name"] for w in spec["workloads"]] == list(workloads.WORKLOADS)
+    for entry in spec["workloads"]:
+        assert entry["why"] == workloads.WORKLOADS[entry["name"]].why
     assert [(m["name"], m["unit"]) for m in spec["end_to_end"]] == list(run.END_TO_END)
     assert [(m["name"], m["unit"], m["better"]) for m in spec["per_layer"]] == [
         (name, unit, better) for name, unit, better, _source in attribution.PER_LAYER
