@@ -11,11 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
-
 UNIFORM = 1.0 / 16.0
 
 

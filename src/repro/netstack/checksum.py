@@ -1,41 +1,26 @@
 """RFC 1071 Internet checksum (ones-complement sum of 16-bit words).
 
-The capture path serializes every telescope packet, so the word sum runs
-on numpy when available; the pure-Python fallback keeps the module
-dependency-free for small inputs.
+Stdlib only.  The whole buffer is read as one big-endian integer: since
+2**16 ≡ 1 (mod 0xFFFF), that integer (shifted left 8 bits when the length
+is odd, the zero pad byte) is congruent to the sum of the 16-bit words,
+and one C-level conversion plus one modulo replace the per-word loop.
 """
 
 from __future__ import annotations
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is present in CI
-    _np = None
-
-
-def _word_sum(data: bytes) -> int:
-    """Sum of big-endian 16-bit words, trailing odd byte padded with zero."""
-    if len(data) % 2:
-        data = data + b"\x00"
-    if _np is not None and len(data) >= 64:
-        return int(_np.frombuffer(data, dtype=">u2").sum(dtype=_np.uint64))
-    total = 0
-    for i in range(0, len(data), 2):
-        total += (data[i] << 8) | data[i + 1]
-    return total
-
 
 def internet_checksum(data: bytes, initial: int = 0) -> int:
-    """Compute the 16-bit Internet checksum over ``data``."""
-    total = initial + _word_sum(data)
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return ~total & 0xFFFF
+    """Compute the 16-bit Internet checksum over ``data``.
+
+    The end-around-carry fold of a positive sum is the one value in
+    [1, 0xFFFF] congruent to it mod 0xFFFF, so a non-zero multiple of
+    0xFFFF folds to 0xFFFF; only an all-zero sum folds to 0.
+    """
+    total = initial + (int.from_bytes(data, "big") << 8 * (len(data) & 1))
+    folded = (total - 1) % 0xFFFF + 1 if total else 0
+    return ~folded & 0xFFFF
 
 
 def verify_checksum(data: bytes) -> bool:
     """True if ``data`` (checksum field included) sums to 0xFFFF."""
-    total = _word_sum(data)
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return total == 0xFFFF
+    return internet_checksum(data) == 0

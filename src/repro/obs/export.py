@@ -35,7 +35,6 @@ from __future__ import annotations
 import os
 import re
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -165,7 +164,9 @@ class PromFileWriter:
         self.writes += 1
 
 
-class _MetricsHandler(BaseHTTPRequestHandler):
+class _MetricsHandler:
+    """``GET /metrics``, mixed into ``http.server``'s handler on first use."""
+
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
         if self.path.split("?", 1)[0] not in ("/metrics", "/"):
             self.send_error(404, "try /metrics")
@@ -196,7 +197,11 @@ class MetricsHttpExporter:
     def __init__(
         self, registry: "MetricsRegistry", port: int = 0, host: str = ""
     ) -> None:
-        self._server = ThreadingHTTPServer((host, port), _MetricsHandler)
+        # Imported here, not at start-up: only --prom-port serves HTTP.
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+        handler = type("MetricsHandler", (_MetricsHandler, BaseHTTPRequestHandler), {})
+        self._server = ThreadingHTTPServer((host, port), handler)
         self._server.registry = registry
         self._server.daemon_threads = True
         self._thread = threading.Thread(

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.quic import version as quic_version
-from repro.quic.crypto.hkdf import hkdf_expand_label, hkdf_extract
+from repro.quic.crypto.hkdf import expand_label_info, hkdf_expand, hkdf_extract
 
 #: Version-specific Initial salts (RFC 9001 §5.2 and predecessors).
 INITIAL_SALTS: dict[int, bytes] = {
@@ -37,9 +37,9 @@ INITIAL_SALTS: dict[int, bytes] = {
 def initial_salt(version: int) -> bytes:
     """Return the Initial salt for ``version``.
 
-    Unknown versions (including mvfst, which reuses the draft derivation)
-    fall back to the draft-29 salt; this mirrors how dissectors try a small
-    set of salts when classifying traffic.
+    mvfst versions reuse the draft-29 salt and unknown versions fall back
+    to v1's; this mirrors how dissectors try a small set of salts when
+    classifying traffic.
     """
     if version in INITIAL_SALTS:
         return INITIAL_SALTS[version]
@@ -84,19 +84,27 @@ class InitialKeys:
         return self.server if is_server else self.client
 
 
+#: The schedule's fixed ``HkdfLabel`` infos, built once at import.
+_CLIENT_IN = expand_label_info("client in", b"", 32)
+_SERVER_IN = expand_label_info("server in", b"", 32)
+_QUIC_KEY = expand_label_info("quic key", b"", 16)
+_QUIC_IV = expand_label_info("quic iv", b"", 12)
+_QUIC_HP = expand_label_info("quic hp", b"", 16)
+
+
 def _derive_direction(secret: bytes) -> DirectionKeys:
     return DirectionKeys(
-        key=hkdf_expand_label(secret, "quic key", b"", 16),
-        iv=hkdf_expand_label(secret, "quic iv", b"", 12),
-        hp=hkdf_expand_label(secret, "quic hp", b"", 16),
+        key=hkdf_expand(secret, _QUIC_KEY, 16),
+        iv=hkdf_expand(secret, _QUIC_IV, 12),
+        hp=hkdf_expand(secret, _QUIC_HP, 16),
     )
 
 
 def derive_initial_keys(version: int, client_dcid: bytes) -> InitialKeys:
     """Derive client and server Initial keys per RFC 9001 §5.2."""
     initial_secret = hkdf_extract(initial_salt(version), client_dcid)
-    client_secret = hkdf_expand_label(initial_secret, "client in", b"", 32)
-    server_secret = hkdf_expand_label(initial_secret, "server in", b"", 32)
+    client_secret = hkdf_expand(initial_secret, _CLIENT_IN, 32)
+    server_secret = hkdf_expand(initial_secret, _SERVER_IN, 32)
     return InitialKeys(
         client=_derive_direction(client_secret),
         server=_derive_direction(server_secret),

@@ -29,11 +29,48 @@ class TestChecksum:
     def test_odd_length(self):
         assert internet_checksum(b"\x01") == internet_checksum(b"\x01\x00")
 
-    def test_large_buffer_numpy_path(self):
-        data = bytes(range(256)) * 8
-        small_sum = internet_checksum(data[:50])
-        assert 0 <= small_sum <= 0xFFFF
-        assert 0 <= internet_checksum(data) <= 0xFFFF
+    @staticmethod
+    def _reference(data: bytes, initial: int = 0) -> int:
+        """RFC 1071 word by word: pad, sum, fold the carries, complement."""
+        if len(data) % 2:
+            data += b"\x00"
+        total = initial
+        for i in range(0, len(data), 2):
+            total += (data[i] << 8) | data[i + 1]
+        while total >> 16:
+            total = (total & 0xFFFF) + (total >> 16)
+        return ~total & 0xFFFF
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.binary(max_size=1600),
+            st.integers(0, 40).map(lambda k: b"\xff\xff" * k),
+            st.integers(1, 40).map(lambda k: b"\xff\xff" * k + b"\xff"),
+        ),
+        st.integers(min_value=0, max_value=(1 << 20) - 1),
+    )
+    def test_matches_word_by_word_reference(self, data, initial):
+        assert internet_checksum(data, initial) == self._reference(data, initial)
+        assert internet_checksum(data) == self._reference(data)
+        assert verify_checksum(data) == (self._reference(data) == 0)
+
+    @pytest.mark.parametrize(
+        "data, initial, expected",
+        [
+            (b"", 0, 0xFFFF),  # only an all-zero sum folds to 0
+            (b"\x00" * 9, 0, 0xFFFF),
+            (b"\xff\xff", 0, 0x0000),
+            (b"\xff\xff" * 257, 0, 0x0000),
+            (b"\x00\x01" * 0xFFFF, 0, 0x0000),
+            (b"", 3 * 0xFFFF, 0x0000),
+        ],
+    )
+    def test_sums_that_are_multiples_of_ffff(self, data, initial, expected):
+        # A non-zero multiple of 0xFFFF folds to 0xFFFF; a bare "% 0xFFFF"
+        # would fold it to 0 and give 0xFFFF.
+        assert internet_checksum(data, initial) == expected
+        assert self._reference(data, initial) == expected
 
 
 class TestIPv4:

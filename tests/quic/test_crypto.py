@@ -1,12 +1,16 @@
 """Cryptographic primitives against published test vectors."""
 
+import hmac
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.quic.crypto.aes import AES128, SBOX
 from repro.quic.crypto.gcm import AesGcm, AuthenticationError, _gf_mult
 from repro.quic.crypto.hkdf import hkdf_expand, hkdf_expand_label, hkdf_extract
-from repro.quic.crypto.initial import derive_initial_keys, initial_salt
+from repro.quic.crypto.initial import INITIAL_SALTS, derive_initial_keys, initial_salt
+from repro.quic.version import DRAFT_29, MVFST_2, QUIC_V1
 
 
 class TestAes:
@@ -127,6 +131,47 @@ class TestHkdf:
             "34007208d5b887185865"
         )
 
+    def test_rfc5869_case_2_long_inputs(self):
+        # An 80-byte salt is longer than the SHA-256 block, so HMAC must
+        # hash the key first; 82 bytes of output take three blocks.
+        prk = hkdf_extract(bytes(range(0x60, 0xB0)), bytes(range(0x50)))
+        assert prk.hex() == (
+            "06a6b88c5853361a06104c9ceb35b45cef760014904671014a193f40c15fc244"
+        )
+        okm = hkdf_expand(prk, bytes(range(0xB0, 0x100)), 82)
+        assert okm.hex() == (
+            "b11e398dc80327a1c8e7f78c596a49344f012eda2d4efad8a050cc4c19afa97c"
+            "59045a99cac7827271cb41c65e590e09da3275600c2f09b8367793a9aca3db71"
+            "cc30c58179ec3e87c14c01d5c1f3434f1d87"
+        )
+
+    def test_rfc5869_case_3_empty_salt_and_info(self):
+        prk = hkdf_extract(b"", b"\x0b" * 22)
+        assert prk.hex() == (
+            "19ef24a32c717b167f33a91d6f648bdf96596776afdb6377ac434c1c293ccb04"
+        )
+        assert hkdf_expand(prk, b"", 42).hex() == (
+            "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d"
+            "9d201395faa4b61a96c8"
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # Salts past the 64-byte block take HMAC's key-hashing branch.
+        st.one_of(st.binary(max_size=64), st.binary(min_size=65, max_size=130)),
+        st.binary(max_size=100),
+        st.binary(max_size=40),
+        st.integers(min_value=1, max_value=100),
+    )
+    def test_matches_stdlib_hmac(self, salt, ikm, info, length):
+        prk = hmac.digest(salt or bytes(32), ikm, "sha256")
+        assert hkdf_extract(salt, ikm) == prk
+        okm = block = b""
+        for counter in range(1, 5):
+            block = hmac.digest(prk, block + info + bytes((counter,)), "sha256")
+            okm += block
+        assert hkdf_expand(prk, info, length) == okm[:length]
+
     def test_expand_rejects_excessive_length(self):
         with pytest.raises(ValueError):
             hkdf_expand(b"\x00" * 32, b"", 256 * 32)
@@ -173,3 +218,47 @@ class TestInitialKeys:
         a = derive_initial_keys(1, b"\x01" * 8)
         b = derive_initial_keys(1, b"\x02" * 8)
         assert a.client.key != b.client.key
+
+
+class TestInitialKeysOracle:
+    """``derive_initial_keys`` against the ``cryptography`` package's HKDF."""
+
+    UNKNOWN = 0x1A2A3A4A
+
+    @staticmethod
+    def _label(label: bytes, length: int) -> bytes:
+        full = b"tls13 " + label
+        return struct.pack(">HB", length, len(full)) + full + b"\x00"
+
+    def _oracle(self, salt: bytes, dcid: bytes) -> dict:
+        hashes = pytest.importorskip("cryptography.hazmat.primitives.hashes")
+        kdf = pytest.importorskip("cryptography.hazmat.primitives.kdf.hkdf")
+        sha256 = hashes.SHA256()
+        keys = {}
+        for side in ("client", "server"):
+            info = self._label(side.encode() + b" in", 32)
+            secret = kdf.HKDF(sha256, 32, salt, info).derive(dcid)
+            for name, length in (("key", 16), ("iv", 12), ("hp", 16)):
+                info = self._label(b"quic " + name.encode(), length)
+                keys[side, name] = kdf.HKDFExpand(sha256, length, info).derive(secret)
+        return keys
+
+    @pytest.mark.parametrize(
+        "version, salt",
+        [(version, salt) for version, salt in sorted(INITIAL_SALTS.items())]
+        + [
+            (MVFST_2.value, INITIAL_SALTS[DRAFT_29.value]),
+            (UNKNOWN, INITIAL_SALTS[QUIC_V1.value]),
+        ],
+        ids=lambda value: "%08x" % value if isinstance(value, int) else "salt",
+    )
+    def test_every_dcid_length(self, version, salt):
+        for length in range(21):
+            dcid = bytes((version + 7 * i) & 0xFF for i in range(length))
+            keys = derive_initial_keys(version, dcid)
+            got = {
+                (side, name): getattr(getattr(keys, side), name)
+                for side in ("client", "server")
+                for name in ("key", "iv", "hp")
+            }
+            assert got == self._oracle(salt, dcid), (hex(version), length)
