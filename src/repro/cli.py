@@ -77,6 +77,7 @@ from repro.core.scid_stats import table4
 from repro.core.summary import HYPERGIANT_COLUMNS, summarize
 from repro.core.timing import timing_profiles
 from repro.core.versions import TABLE2_ROWS, table2
+from repro.netstack.pcap import PcapError
 from repro.obs import (
     JsonlTracer,
     MetricsRegistry,
@@ -1953,7 +1954,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except PcapError as exc:
+        # An unreadable capture is the user's input, not a crash.
+        print("repro: error: %s" % exc, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

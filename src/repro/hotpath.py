@@ -1,48 +1,20 @@
-"""Write-side hot-path switch and the deterministic LRU behind it.
+"""The deterministic LRU behind the write side's templates and memos.
 
-The template-and-memo refactor (crypto memoization, packet/header
-templates, flow-encapsulation templates, the engine's per-connection
-flight layouts) is byte-identical to the rebuild-everything path it
-replaced — every cached object is a pure function of its key.  The
-rebuild paths are kept permanently as the *reference implementation*:
-``benchmarks/bench_hotpath.py`` flips this switch to measure the
-speedup and to re-assert pcap byte-parity against the non-template
-path, and the parity tests under ``tests/`` do the same per packet.
-
-``enabled`` is a module-level bool read once per packet; flipping it is
-process-local (worker processes inherit the default, which is fine —
-both paths produce identical bytes).
+Every cache on the write path — Initial key schedules, AES/GHASH
+schedules (:mod:`repro.quic.crypto.memo`), long/short header templates
+(:mod:`repro.quic.packet`) and IPv4+UDP flow templates
+(:mod:`repro.netstack.udp`) — holds values that are pure functions of
+their keys, so a hit returns exactly the bytes a fresh build would.
+There is one write path; its output is pinned by sha256 in the template
+tests and by the golden pcap digests.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Callable, Iterator, TypeVar
-
-#: Fast paths are on by default; the rebuild reference paths exist for
-#: parity benching, not as a supported production mode.
-enabled = True
+from typing import Callable, TypeVar
 
 _T = TypeVar("_T")
 _MISSING = object()
-
-
-def set_enabled(flag: bool) -> None:
-    """Switch every template/memo fast path on or off process-wide."""
-    global enabled
-    enabled = bool(flag)
-
-
-@contextmanager
-def disabled() -> Iterator[None]:
-    """Run a block on the rebuild reference paths (bench/parity use)."""
-    global enabled
-    previous = enabled
-    enabled = False
-    try:
-        yield
-    finally:
-        enabled = previous
 
 
 class LruCache:
@@ -51,7 +23,7 @@ class LruCache:
     Eviction order is a pure function of the get/put sequence (no
     clocks, no hashing randomness — keys are bytes/int tuples), so two
     processes replaying the same packet stream hold identical caches.
-    Hit/miss counters feed the hot-path bench.
+    Hit/miss counters feed the hot-path bench and the memo stats.
     """
 
     __slots__ = ("maxsize", "hits", "misses", "_data")

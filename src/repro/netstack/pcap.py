@@ -93,25 +93,41 @@ class PcapWriter:
         self._file.flush()
 
 
+def _parse_global_header(head: bytes) -> tuple[struct.Struct, int]:
+    """The record-header struct and snaplen of a complete global header.
+
+    The one place a pcap's magic number, byte order and link type are
+    read.  Only ``LINKTYPE_RAW`` is accepted: the dissector expects every
+    record to start at the IPv4 header, so a link-layer framed capture
+    (Ethernet is type 1) would otherwise index as zero rows, silently.
+    """
+    magic = struct.unpack("<I", head[:4])[0]
+    if magic == MAGIC:
+        endian = "<"
+    elif magic == MAGIC_SWAPPED:
+        endian = ">"
+    else:
+        raise PcapError("bad pcap magic 0x%08x" % magic)
+    fields = struct.unpack(endian + "IHHiIII", head)
+    linktype = fields[6]
+    if linktype != LINKTYPE_RAW:
+        raise PcapError(
+            "unsupported pcap link type %d (only raw IP, %d)" % (linktype, LINKTYPE_RAW)
+        )
+    return struct.Struct(endian + "IIII"), fields[5]
+
+
 class PcapReader:
     """Iterates :class:`PcapRecord` objects from a classic pcap file."""
+
+    linktype = LINKTYPE_RAW
 
     def __init__(self, fileobj: BinaryIO) -> None:
         self._file = fileobj
         header = fileobj.read(_GLOBAL_HEADER.size)
         if len(header) < _GLOBAL_HEADER.size:
             raise PcapError("truncated pcap global header")
-        magic = struct.unpack("<I", header[:4])[0]
-        if magic == MAGIC:
-            self._endian = "<"
-        elif magic == MAGIC_SWAPPED:
-            self._endian = ">"
-        else:
-            raise PcapError("bad pcap magic 0x%08x" % magic)
-        fields = struct.unpack(self._endian + "IHHiIII", header)
-        self.linktype = fields[6]
-        self.snaplen = fields[5]
-        self._record_struct = struct.Struct(self._endian + "IIII")
+        self._record_struct, self.snaplen = _parse_global_header(header)
 
     def __iter__(self) -> Iterator[PcapRecord]:
         while True:
@@ -180,33 +196,7 @@ def scan_pcap_offsets(path: str) -> list[int]:
     — cheap enough to plan row-group splits before a parallel dissection
     pass.  Raises :class:`PcapError` on truncated files.
     """
-    offsets: list[int] = []
-    with open(path, "rb") as fileobj:
-        head = fileobj.read(_GLOBAL_HEADER.size)
-        if len(head) < _GLOBAL_HEADER.size:
-            raise PcapError("truncated pcap global header")
-        magic = struct.unpack("<I", head[:4])[0]
-        if magic == MAGIC:
-            endian = "<"
-        elif magic == MAGIC_SWAPPED:
-            endian = ">"
-        else:
-            raise PcapError("bad pcap magic 0x%08x" % magic)
-        record_struct = struct.Struct(endian + "IIII")
-        fileobj.seek(0, 2)
-        end = fileobj.tell()
-        pos = _GLOBAL_HEADER.size
-        while pos < end:
-            fileobj.seek(pos)
-            header = fileobj.read(record_struct.size)
-            if len(header) < record_struct.size:
-                raise PcapError("truncated pcap record header")
-            _sec, _usec, incl_len, _orig = record_struct.unpack(header)
-            if pos + record_struct.size + incl_len > end:
-                raise PcapError("truncated pcap record body")
-            offsets.append(pos)
-            pos += record_struct.size + incl_len
-    return offsets
+    return _scan_records(path, _GLOBAL_HEADER.size, strict=True)[0]
 
 
 def scan_pcap_tail(path: str, start: int = _GLOBAL_HEADER.size) -> tuple[list[int], int]:
@@ -223,32 +213,41 @@ def scan_pcap_tail(path: str, start: int = _GLOBAL_HEADER.size) -> tuple[list[in
     ``start`` must point at a record boundary (typically the ``end`` of a
     previous scan, or the position after the global header).
     """
+    return _scan_records(path, start, strict=False)
+
+
+def _scan_records(path: str, start: int, strict: bool) -> tuple[list[int], int]:
+    """Walk record headers from ``start``; a torn record raises if ``strict``.
+
+    Non-strict, a global header still being written yields ``([],
+    start)`` and a torn record ends the walk in front of it.
+    """
     offsets: list[int] = []
     with open(path, "rb") as fileobj:
         head = fileobj.read(_GLOBAL_HEADER.size)
         if len(head) < _GLOBAL_HEADER.size:
-            return [], start  # global header itself still being written
-        magic = struct.unpack("<I", head[:4])[0]
-        if magic == MAGIC:
-            endian = "<"
-        elif magic == MAGIC_SWAPPED:
-            endian = ">"
-        else:
-            raise PcapError("bad pcap magic 0x%08x" % magic)
-        record_struct = struct.Struct(endian + "IIII")
+            if strict:
+                raise PcapError("truncated pcap global header")
+            return [], start
+        record_struct, _snaplen = _parse_global_header(head)
         fileobj.seek(0, 2)
         file_end = fileobj.tell()
         pos = max(start, _GLOBAL_HEADER.size)
+        torn = ""
         while pos < file_end:
             fileobj.seek(pos)
             header = fileobj.read(record_struct.size)
             if len(header) < record_struct.size:
-                break  # torn record header: the writer is mid-append
+                torn = "truncated pcap record header"  # writer mid-append
+                break
             _sec, _usec, incl_len, _orig = record_struct.unpack(header)
             if pos + record_struct.size + incl_len > file_end:
-                break  # torn record body
+                torn = "truncated pcap record body"
+                break
             offsets.append(pos)
             pos += record_struct.size + incl_len
+    if torn and strict:
+        raise PcapError(torn)
     return offsets, pos
 
 

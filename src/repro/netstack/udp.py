@@ -8,17 +8,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro import hotpath
-from repro.buffer import Reader, Writer
+from repro.buffer import Reader
 from repro.hotpath import LruCache
 from repro.netstack.checksum import internet_checksum
 from repro.netstack.ip import (
     HEADER_LENGTH as IP_HEADER_LENGTH,
-    IPv4Header,
     IpParseError,
     PROTO_UDP,
     decode_ipv4,
-    encode_ipv4,
 )
 
 HEADER_LENGTH = 8
@@ -78,7 +75,7 @@ class FlowTemplate:
 
     Per-packet work is then: splice two length fields, fold two partial
     sums (the payload word sum is the only data-dependent part), splice
-    two checksums.  Byte-identical to the Writer-based reference path.
+    two checksums.
     """
 
     __slots__ = ("skeleton", "ip_partial", "udp_partial")
@@ -162,48 +159,12 @@ def flow_template(datagram: UdpDatagram) -> FlowTemplate:
 
 def encode_udp(datagram: UdpDatagram) -> bytes:
     """Serialize the full IPv4+UDP packet with both checksums."""
-    if hotpath.enabled:
-        return flow_template(datagram).encode(datagram.payload)
-    return _encode_udp_rebuild(datagram)
+    return flow_template(datagram).encode(datagram.payload)
 
 
 def encode_udp_into(out: bytearray, datagram: UdpDatagram) -> None:
     """Append the serialized packet to ``out`` (capture-buffer fast path)."""
-    if hotpath.enabled:
-        flow_template(datagram).encode_into(out, datagram.payload)
-    else:
-        out += _encode_udp_rebuild(datagram)
-
-
-def _encode_udp_rebuild(datagram: UdpDatagram) -> bytes:
-    """Writer-based reference encoder (parity baseline for templates)."""
-    udp_length = HEADER_LENGTH + len(datagram.payload)
-    if udp_length > 0xFFFF:
-        raise UdpParseError("UDP datagram too large: %d" % udp_length)
-    writer = Writer()
-    writer.write_u16(datagram.src_port)
-    writer.write_u16(datagram.dst_port)
-    writer.write_u16(udp_length)
-    writer.write_u16(0)  # checksum placeholder
-    writer.write(datagram.payload)
-    udp_bytes = bytearray(writer.getvalue())
-    pseudo = Writer()
-    pseudo.write_u32(datagram.src_ip)
-    pseudo.write_u32(datagram.dst_ip)
-    pseudo.write_u8(0)
-    pseudo.write_u8(PROTO_UDP)
-    pseudo.write_u16(udp_length)
-    checksum = internet_checksum(pseudo.getvalue() + bytes(udp_bytes))
-    if checksum == 0:
-        checksum = 0xFFFF  # RFC 768: zero means "no checksum"
-    udp_bytes[6:8] = checksum.to_bytes(2, "big")
-    ip_header = IPv4Header(
-        src=datagram.src_ip,
-        dst=datagram.dst_ip,
-        protocol=PROTO_UDP,
-        ttl=datagram.ttl,
-    )
-    return encode_ipv4(ip_header, bytes(udp_bytes))
+    flow_template(datagram).encode_into(out, datagram.payload)
 
 
 def decode_udp(packet: bytes) -> UdpDatagram:

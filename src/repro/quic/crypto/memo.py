@@ -16,14 +16,14 @@ instance in the process:
   built (the expensive one: 16×256 field multiplications per key).
 
 The cached objects are safe to share: ``InitialKeys`` is frozen, and
-``AES128``/``AesGcm`` carry no per-call state.  When the hot path is
-disabled (:mod:`repro.hotpath`), every helper falls through to a fresh
-derivation so the memo-vs-cold bench arm measures honestly.
+``AES128``/``AesGcm`` carry no per-call state, so a cached object is
+byte-for-byte what a fresh derivation returns.  The cold arms of
+``benchmarks/bench_hotpath.py`` call the underlying constructors
+directly and clear these memos between passes.
 """
 
 from __future__ import annotations
 
-from repro import hotpath
 from repro.hotpath import LruCache
 from repro.quic.crypto.aes import AES128
 from repro.quic.crypto.gcm import AesGcm
@@ -41,8 +41,6 @@ _GCM_CACHE = LruCache(1024)
 
 def cached_initial_keys(version: int, dcid: bytes) -> InitialKeys:
     """Memoized :func:`derive_initial_keys` per ``(version, DCID)``."""
-    if not hotpath.enabled:
-        return derive_initial_keys(version, dcid)
     return _INITIAL_KEYS_CACHE.get_or_build(
         (version, dcid), lambda: derive_initial_keys(version, dcid)
     )
@@ -50,15 +48,11 @@ def cached_initial_keys(version: int, dcid: bytes) -> InitialKeys:
 
 def cached_aes(key: bytes) -> AES128:
     """Memoized AES-128 key-schedule expansion per 16-byte key."""
-    if not hotpath.enabled:
-        return AES128(key)
     return _AES_CACHE.get_or_build(key, lambda: AES128(key))
 
 
 def cached_gcm(key: bytes) -> AesGcm:
     """Memoized AES-GCM instance (round keys + GHASH tables) per key."""
-    if not hotpath.enabled:
-        return AesGcm(key)
     return _GCM_CACHE.get_or_build(key, lambda: AesGcm(key))
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import hmac
 
-from repro import hotpath
 from repro.quic.crypto.gcm import AesGcm, AuthenticationError
 from repro.quic.crypto.initial import DirectionKeys, InitialKeys
 from repro.quic.crypto.memo import cached_aes, cached_gcm, cached_initial_keys
@@ -220,18 +219,16 @@ class FastProtection(PacketProtection):
         packet_number: int,
         payload: bytes,
     ) -> bytes:
-        """Fused seal + header protection for the template hot path.
+        """Fused seal + header protection for every simulated packet.
 
-        Byte-identical to the base driver (the parity tests and the
-        bench gate hold it to that); it exists to collapse the six
-        Python-level calls per packet — for_sender, _seal, _keystream,
-        _xor, _hp_mask, hmac.new().digest() — into straight-line code
-        with one-shot :func:`hmac.digest`.  Falls back to the driver
-        when profiling (the engine.aead / engine.hp leaves live there)
-        or when the hot path is disabled (the rebuild baseline must pay
-        pre-refactor costs).
+        Byte-identical to the base driver (a pinned test calls both); it
+        exists to collapse the six Python-level calls per packet —
+        for_sender, _seal, _keystream, _xor, _hp_mask,
+        hmac.new().digest() — into straight-line code with one-shot
+        :func:`hmac.digest`.  Falls back to the driver when profiling,
+        because the engine.aead / engine.hp leaves live there.
         """
-        if self.prof is not None or not hotpath.enabled:
+        if self.prof is not None:
             return PacketProtection.protect(
                 self, is_server, header, packet_number, payload
             )

@@ -17,7 +17,6 @@ import enum
 import hashlib
 from dataclasses import dataclass, field
 
-from repro import hotpath
 from repro.buffer import BufferError_, Reader, Writer
 from repro.hotpath import LruCache
 from repro.quic.crypto.suites import PacketProtection, ProtectionError, TAG_LENGTH
@@ -141,7 +140,7 @@ class ParsedLongHeader:
 
 
 # ---------------------------------------------------------------------------
-# Encoding — template fast path and the rebuild reference path
+# Encoding — every long/short header is rendered from a cached template
 # ---------------------------------------------------------------------------
 
 
@@ -153,9 +152,9 @@ class PacketTemplate:
     skeleton is built once per shape (engine flights reuse a handful of
     shapes per profile for a whole month) and rendering reduces to a
     ``bytearray`` copy plus three or four slice splices — no
-    :class:`~repro.buffer.Writer`, no varint re-encoding.
-    Byte-parity with the rebuild path is asserted per server profile in
-    the template tests and re-checked by ``bench_hotpath.py``.
+    :class:`~repro.buffer.Writer`, no varint re-encoding.  The rendered
+    bytes are pinned by sha256 per suite and shape in the template tests
+    and, end to end, by the golden pcap digests.
     """
 
     __slots__ = (
@@ -199,7 +198,8 @@ class PacketTemplate:
         else:
             self.token_off = len(skeleton)
         length = pn_length + payload_len + TAG_LENGTH
-        # Stable 2-byte-minimum Length varint, same as the rebuild path.
+        # Always a 2-byte-minimum Length varint: headers keep a stable
+        # size, matching common stack behaviour (and the padding math).
         skeleton += encode_varint(length, width=max(2, varint_length(length)))
         self.pn_off = len(skeleton)
         skeleton += bytes(pn_length)
@@ -310,55 +310,29 @@ def encode_packet(
     is_server: bool,
 ) -> bytes:
     """Serialize and protect one long-header packet."""
-    if hotpath.enabled:
-        template = packet_template(
-            packet.packet_type,
-            packet.version,
-            len(packet.dcid),
-            len(packet.scid),
-            len(packet.token),
-            len(packet.payload),
-            packet.pn_length,
-        )
-        header = template.render(
-            packet.dcid, packet.scid, packet.packet_number, packet.token
-        )
-        return protection.protect(
-            is_server, header, packet.packet_number, packet.payload
-        )
-    return _encode_packet_rebuild(packet, protection, is_server)
+    return _protect_long(packet, packet.payload, protection, is_server)
 
 
-def _encode_packet_rebuild(
+def _protect_long(
     packet: LongHeaderPacket,
+    payload: bytes,
     protection: PacketProtection,
     is_server: bool,
 ) -> bytes:
-    """Field-by-field reference encoder (parity baseline for templates)."""
-    writer = Writer()
-    first = (
-        FORM_BIT
-        | FIXED_BIT
-        | (packet.packet_type.value << 4)
-        | (packet.pn_length - 1)
+    """Render ``packet``'s header for ``payload`` and seal the two."""
+    template = packet_template(
+        packet.packet_type,
+        packet.version,
+        len(packet.dcid),
+        len(packet.scid),
+        len(packet.token),
+        len(payload),
+        packet.pn_length,
     )
-    writer.write_u8(first)
-    writer.write_u32(packet.version)
-    _write_cid(writer, packet.dcid)
-    _write_cid(writer, packet.scid)
-    if packet.packet_type is PacketType.INITIAL:
-        writer.write(encode_varint(len(packet.token)))
-        writer.write(packet.token)
-    length = packet.pn_length + len(packet.payload) + TAG_LENGTH
-    # Always use a 2-byte varint for Length so headers have a stable size,
-    # matching common stack behaviour (and simplifying padding math).
-    writer.write(encode_varint(length, width=max(2, varint_length(length))))
-    pn_encoded = (packet.packet_number & ((1 << (8 * packet.pn_length)) - 1)).to_bytes(
-        packet.pn_length, "big"
+    header = template.render(
+        packet.dcid, packet.scid, packet.packet_number, packet.token
     )
-    writer.write(pn_encoded)
-    header = writer.getvalue()
-    return protection.protect(is_server, header, packet.packet_number, packet.payload)
+    return protection.protect(is_server, header, packet.packet_number, payload)
 
 
 def encode_retry(packet: RetryPacket) -> bytes:
@@ -425,60 +399,26 @@ def encode_datagram(
     datagram reaches the target size — the standard way stacks satisfy the
     1200-byte Initial minimum.
 
-    On the template fast path the padding deficit is computed analytically
-    from :func:`encoded_packet_length`, so every packet — padded last one
-    included — is sealed exactly once.  The reference path below measures
-    by encoding and then re-encodes the padded tail packet, i.e. seals it
-    twice; both produce identical bytes.
+    The padding deficit is computed analytically from
+    :func:`encoded_packet_length`, so every packet — padded last one
+    included — is sealed exactly once.
     """
     if not packets:
         raise PacketParseError("cannot encode an empty datagram")
-    if hotpath.enabled:
-        pad = 0
-        if pad_to:
-            total = sum(encoded_packet_length(p) for p in packets)
-            if total < pad_to:
-                pad = pad_to - total
-        parts = []
-        tail = len(packets) - 1
-        for index, packet in enumerate(packets):
-            payload = packet.payload
-            if pad and index == tail:
-                # One-shot pad of the tail packet, not an accumulation.
-                payload = payload + b"\x00" * pad
-            template = packet_template(
-                packet.packet_type,
-                packet.version,
-                len(packet.dcid),
-                len(packet.scid),
-                len(packet.token),
-                len(payload),
-                packet.pn_length,
-            )
-            header = template.render(
-                packet.dcid, packet.scid, packet.packet_number, packet.token
-            )
-            parts.append(
-                protection.protect(is_server, header, packet.packet_number, payload)
-            )
-        return b"".join(parts)
-    encoded = [_encode_packet_rebuild(p, protection, is_server) for p in packets]
-    total = sum(len(e) for e in encoded)
-    if pad_to and total < pad_to:
-        deficit = pad_to - total
-        last = packets[-1]
-        padded = LongHeaderPacket(
-            packet_type=last.packet_type,
-            version=last.version,
-            dcid=last.dcid,
-            scid=last.scid,
-            packet_number=last.packet_number,
-            payload=last.payload + b"\x00" * deficit,
-            token=last.token,
-            pn_length=last.pn_length,
-        )
-        encoded[-1] = _encode_packet_rebuild(padded, protection, is_server)
-    return b"".join(encoded)
+    pad = 0
+    if pad_to:
+        total = sum(encoded_packet_length(p) for p in packets)
+        if total < pad_to:
+            pad = pad_to - total
+    parts = []
+    tail = len(packets) - 1
+    for index, packet in enumerate(packets):
+        payload = packet.payload
+        if pad and index == tail:
+            # One-shot pad of the tail packet, not an accumulation.
+            payload = payload + b"\x00" * pad
+        parts.append(_protect_long(packet, payload, protection, is_server))
+    return b"".join(parts)
 
 
 @dataclass
@@ -503,24 +443,9 @@ def encode_short_packet(
     """
     if not 1 <= packet.pn_length <= 4:
         raise PacketParseError("packet number length must be 1..4")
-    if hotpath.enabled:
-        header = short_packet_template(packet.pn_length, packet.spin_bit).render(
-            packet.dcid, packet.packet_number
-        )
-        return protection.protect(
-            is_server, header, packet.packet_number, packet.payload
-        )
-    writer = Writer()
-    first = FIXED_BIT | (packet.pn_length - 1)
-    if packet.spin_bit:
-        first |= 0x20
-    writer.write_u8(first)
-    writer.write(packet.dcid)
-    pn_encoded = (
-        packet.packet_number & ((1 << (8 * packet.pn_length)) - 1)
-    ).to_bytes(packet.pn_length, "big")
-    writer.write(pn_encoded)
-    header = writer.getvalue()
+    header = short_packet_template(packet.pn_length, packet.spin_bit).render(
+        packet.dcid, packet.packet_number
+    )
     return protection.protect(is_server, header, packet.packet_number, packet.payload)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 
 import pytest
 
@@ -114,3 +115,32 @@ class TestIndexCommand:
         capsys.readouterr()
         assert main(["index", pcap_copy, "--force"]) == 0
         assert "Indexed" in capsys.readouterr().out
+
+
+class TestUnreadableCapture:
+    """A capture the reader refuses is a one-line error, not a traceback."""
+
+    @staticmethod
+    def _bad_magic(path):
+        path.write_bytes(b"\x00" * 64)
+        return "repro: error: bad pcap magic 0x00000000\n"
+
+    @staticmethod
+    def _ethernet(path):
+        path.write_bytes(
+            struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1)
+            + struct.pack("<IIII", 1, 0, 34, 34)
+            + b"\x00" * 34
+        )
+        return "repro: error: unsupported pcap link type 1 (only raw IP, 101)\n"
+
+    @pytest.mark.parametrize("command", ("analyze", "index"))
+    @pytest.mark.parametrize("capture", ("_bad_magic", "_ethernet"))
+    def test_one_line_error(self, tmp_path, capsys, command, capture):
+        path = tmp_path / "foreign.pcap"
+        expected = getattr(self, capture)(path)
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == expected
+        assert captured.out == ""
+        assert not os.path.exists(sidecar_path(str(path)))

@@ -1,37 +1,35 @@
-"""End-to-end parity gate for the write-side template plane.
+"""End-to-end pin for the write-side template plane.
 
-The strongest form of the hot-path contract: the same scenario simulated
-with the fast paths on and off writes byte-identical pcaps, and the
-``--workers auto`` spelling resolves to a run that matches an explicit
-worker count.
+The scale-0.02, seed-42 pcap is pinned by sha256; the pin was recorded
+while the simulator still had a non-template write path and both wrote
+this exact file.  The ``--workers auto`` spelling must resolve to a run
+that matches an explicit worker count.
 """
 
 import filecmp
+import hashlib
 
 import pytest
 
-from repro import hotpath
 from repro.cli import main
 from repro.quic.crypto.memo import clear_crypto_memos
 
+#: sha256 of ``simulate --scale 0.02 --seed 42``.
+PCAP_PIN = "b11f575a30908fdf7221bcea479905b8c169fba78065b73b441a346865fe7aca"
+
 
 @pytest.fixture(autouse=True)
-def _hotpath_reset():
+def _fresh_memos():
     clear_crypto_memos()
-    hotpath.set_enabled(True)
     yield
     clear_crypto_memos()
-    hotpath.set_enabled(True)
 
 
 def test_pcap_identical_with_hotpath_disabled(tmp_path):
-    fast = str(tmp_path / "fast.pcap")
-    slow = str(tmp_path / "slow.pcap")
-    assert main(["simulate", fast, "--scale", "0.02", "--seed", "42"]) == 0
-    hotpath.set_enabled(False)
-    clear_crypto_memos()
-    assert main(["simulate", slow, "--scale", "0.02", "--seed", "42"]) == 0
-    assert filecmp.cmp(fast, slow, shallow=False)
+    """The pin is the file the hot-path-disabled run wrote while it existed."""
+    pcap = tmp_path / "month.pcap"
+    assert main(["simulate", str(pcap), "--scale", "0.02", "--seed", "42"]) == 0
+    assert hashlib.sha256(pcap.read_bytes()).hexdigest() == PCAP_PIN
 
 
 def test_workers_auto_matches_serial(tmp_path):

@@ -106,8 +106,9 @@ class TestCheckersJsonMode:
         assert result.returncode == 1
         doc = json.loads(result.stdout)
         messages = [f["message"] for f in doc["findings"]]
+        assert any("flight_emission.template_pps" in m for m in messages)
         assert any("initial_keys_memo" in m for m in messages)
-        assert any("parity.pcap_identical" in m for m in messages)
+        assert not any("parity" in m for m in messages)
 
     def test_bench_json_rejects_empty_object(self, tmp_path):
         empty = tmp_path / "BENCH_empty.json"

@@ -1,27 +1,41 @@
-"""Flow-template encapsulation parity and the columnar capture buffer."""
+"""Flow-template encapsulation pins and the columnar capture buffer."""
 
+import hashlib
 import io
 import random
 
 import pytest
 
-from repro import hotpath
 from repro.netstack.capbuf import CaptureBuffer
+from repro.netstack.checksum import internet_checksum, verify_checksum
 from repro.netstack.pcap import PcapRecord, PcapWriter, read_pcap
 from repro.netstack.udp import (
     FlowTemplate,
     UdpDatagram,
-    _encode_udp_rebuild,
+    decode_udp,
     encode_udp,
     encode_udp_into,
 )
 
+#: payload size -> sha256 of ``encode_udp`` for ``_datagram(payload)``.
+#: Recorded while a Writer-based rebuild encoder still existed and
+#: produced the same bytes.
+ENCODE_PINS = {
+    0: "4b45d714d0604c95d0188ab0365ba6759d80aee118ffad2acd586322f006b3ca",
+    1: "aab072b790c71316d92a62f2a38ad3cde86e1e0854af510370c34389ca6680d5",
+    2: "e9b586f8f13a17784495623a02fcc4d538c9479c8f7f8b65df0b042dfb58e183",
+    63: "0aed0d55fbe6a16400230b4a17fea29cc3a7171fa8a344f4d2801923cff90f9b",
+    64: "d467aa2258726e23f916859da0c29c37e572e6cd2a48c11ac677f9e4d7bacfaf",
+    65: "253df99e0d791eb5367bfb41a5d7b3aa9332937dd18dd008d6ccf3932b2e74e0",
+    1199: "4cb79a4fdc0789f1235b778b11d9b37eef4b190d2b0c0697e14670eb23ecb0d3",
+    1200: "6396887212d246f1c4436e0b86db15b230b231cebf4f193e1923b2141d012970",
+    1472: "c95d1e1a7bf989efed135f2844efc574eb758ab0d34a4ec5e33415240a895d51",
+}
 
-@pytest.fixture(autouse=True)
-def _hotpath_on():
-    hotpath.set_enabled(True)
-    yield
-    hotpath.set_enabled(True)
+#: The first two-byte payload (from 0) whose UDP checksum computes to
+#: zero for ``_datagram``'s flow, and the pinned packet carrying it.
+ZERO_CHECKSUM_FILLER = 8674
+ZERO_CHECKSUM_PIN = "7579f4de5f9b6a6b95fb5df401597a938f42e70e815f129d8ea7083e09a9a14f"
 
 
 def _datagram(payload, ttl=64, src_port=4242):
@@ -35,14 +49,29 @@ def _datagram(payload, ttl=64, src_port=4242):
     )
 
 
+def _udp_pseudo_segment(packet: bytes) -> bytes:
+    """RFC 768 pseudo-header (addresses, protocol, length) + UDP segment."""
+    return packet[12:20] + b"\x00\x11" + packet[24:26] + packet[20:]
+
+
+def _assert_roundtrip(datagram: UdpDatagram) -> bytes:
+    """Encode, then check both checksums and decode back to ``datagram``."""
+    packet = encode_udp(datagram)
+    assert verify_checksum(packet[:20]), "IPv4 header checksum"
+    assert verify_checksum(_udp_pseudo_segment(packet)), "UDP checksum"
+    assert decode_udp(packet) == datagram
+    return packet
+
+
 class TestFlowTemplateParity:
-    @pytest.mark.parametrize("size", (0, 1, 2, 63, 64, 65, 1199, 1200, 1472))
+    @pytest.mark.parametrize("size", sorted(ENCODE_PINS))
     def test_encode_matches_rebuild(self, size):
         """Odd and even payload lengths exercise checksum padding."""
         rng = random.Random(size)
         payload = rng.getrandbits(8 * size).to_bytes(size, "big") if size else b""
-        datagram = _datagram(payload)
-        assert encode_udp(datagram) == _encode_udp_rebuild(datagram)
+        packet = _assert_roundtrip(_datagram(payload))
+        assert len(packet) == 28 + size
+        assert hashlib.sha256(packet).hexdigest() == ENCODE_PINS[size]
 
     def test_random_flows_match_rebuild(self):
         rng = random.Random(42)
@@ -55,12 +84,7 @@ class TestFlowTemplateParity:
                 payload=rng.randbytes(rng.randrange(0, 300)),
                 ttl=rng.choice([1, 32, 64, 128, 255]),
             )
-            assert encode_udp(datagram) == _encode_udp_rebuild(datagram)
-
-    def test_disabled_hotpath_uses_rebuild(self):
-        datagram = _datagram(b"hello")
-        with hotpath.disabled():
-            assert encode_udp(datagram) == _encode_udp_rebuild(datagram)
+            _assert_roundtrip(datagram)
 
     def test_encode_into_appends_identical_bytes(self):
         out = bytearray(b"prefix")
@@ -75,14 +99,14 @@ class TestFlowTemplateParity:
 
     def test_zero_udp_checksum_becomes_ffff(self):
         """RFC 768: a computed zero checksum is transmitted as 0xFFFF."""
-        # Brute-force a payload whose checksum folds to zero.
-        for filler in range(65536):
-            datagram = _datagram(filler.to_bytes(2, "big"))
-            encoded = _encode_udp_rebuild(datagram)
-            if encoded[26:28] == b"\xff\xff":
-                assert encode_udp(datagram) == encoded
-                return
-        pytest.skip("no zero-checksum payload found for this flow")
+        datagram = _datagram(ZERO_CHECKSUM_FILLER.to_bytes(2, "big"))
+        packet = _assert_roundtrip(datagram)
+        assert packet[26:28] == b"\xff\xff"
+        # With the field zeroed the segment sums to a checksum of zero, so
+        # 0xFFFF is the substitute, not a value the sum produced.
+        zeroed = packet[:26] + b"\x00\x00" + packet[28:]
+        assert internet_checksum(_udp_pseudo_segment(zeroed)) == 0
+        assert hashlib.sha256(packet).hexdigest() == ZERO_CHECKSUM_PIN
 
 
 class TestCaptureBuffer:

@@ -99,6 +99,38 @@ class TestErrors:
             list(PcapReader(io.BytesIO(data)))
 
 
+class TestForeignLinkType:
+    """Only raw-IP captures are read; anything else is refused up front."""
+
+    ETHERNET = 1
+
+    def write(self, tmp_path, endian="<"):
+        frame = b"\x00" * 14 + b"\x45" + b"\x00" * 19  # Ethernet + IPv4
+        path = str(tmp_path / "ethernet.pcap")
+        with open(path, "wb") as fileobj:
+            fileobj.write(
+                struct.pack(
+                    endian + "IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, self.ETHERNET
+                )
+            )
+            fileobj.write(struct.pack(endian + "IIII", 1, 0, len(frame), len(frame)))
+            fileobj.write(frame)
+        return path
+
+    MESSAGE = r"^unsupported pcap link type 1 \(only raw IP, 101\)$"
+
+    @pytest.mark.parametrize("endian", ("<", ">"))
+    def test_every_entry_point_refuses(self, tmp_path, endian):
+        path = self.write(tmp_path, endian)
+        with open(path, "rb") as fileobj:
+            with pytest.raises(PcapError, match=self.MESSAGE):
+                PcapReader(fileobj)
+        with pytest.raises(PcapError, match=self.MESSAGE):
+            scan_pcap_offsets(path)
+        with pytest.raises(PcapError, match=self.MESSAGE):
+            scan_pcap_tail(path)
+
+
 class TestScanTail:
     """The tolerant twin of scan_pcap_offsets for live captures."""
 

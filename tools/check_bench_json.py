@@ -7,8 +7,8 @@ those numbers, so a truncated write or a NaN smuggled through
 ``json.dump`` would silently poison them.  This checker asserts the
 shared contract: each file parses as a non-empty JSON object and every
 number reachable in it is finite.  For ``BENCH_hotpath.json`` it also
-requires the keys the hot-path CI gate quotes (the three speedup arms
-and the pcap-parity flag), so the gate cannot pass against a stale or
+requires the keys the hot-path CI step quotes (the flight emission rate
+and the two memo speedups), so the gate cannot pass against a stale or
 hand-edited document:
 
     python tools/check_bench_json.py BENCH_*.json
@@ -35,10 +35,9 @@ REPO_ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 #: Keys the hot-path CI gate reads; their absence means the bench never
 #: ran (or the file was edited by hand).
 HOTPATH_REQUIRED = (
-    ("arms", "flight_emission", "speedup"),
+    ("arms", "flight_emission", "template_pps"),
     ("arms", "initial_keys_memo", "speedup"),
     ("arms", "schedule_memo", "speedup"),
-    ("parity", "pcap_identical"),
 )
 
 
