@@ -29,7 +29,7 @@ def _measure(bias: float):
     scenario.run()
     capture = scenario.classify()
     timing = timing_profiles(capture.backscatter)
-    mix = packet_mix(capture.backscatter)
+    mix = packet_mix(capture, backscatter_only=True)
     versions = table2(capture)
     return {
         "backscatter": capture.stats.backscatter,

@@ -49,8 +49,8 @@ def _measure(suite: str):
     elapsed = time.perf_counter() - started
     capture = scenario.classify()
     timing = timing_profiles(capture.backscatter)
-    mix = packet_mix(capture.backscatter)
-    scids = table4(capture.backscatter)
+    mix = packet_mix(capture, backscatter_only=True)
+    scids = table4(capture)
     return {
         "seconds": elapsed,
         "backscatter": capture.stats.backscatter,

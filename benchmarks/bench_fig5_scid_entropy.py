@@ -6,8 +6,8 @@ first bytes show strong structure (the mvfst version/host/worker fields).
 
 from conftest import report
 
-from repro.core.scid_entropy import is_structured, nybble_matrix
-from repro.core.scid_stats import scids_by_origin
+from repro.core.scid_entropy import is_structured
+from repro.core.scid_stats import table4
 
 
 def _render_matrix(name: str, matrix) -> str:
@@ -26,13 +26,9 @@ def _render_matrix(name: str, matrix) -> str:
 
 
 def test_fig5_scid_entropy(benchmark, capture_2022):
-    scids = scids_by_origin(capture_2022.backscatter)
-
     def build():
-        return {
-            origin: nybble_matrix(scids[origin])
-            for origin in ("Google", "Facebook")
-        }
+        stats = table4(capture_2022)
+        return {origin: stats[origin].matrix() for origin in ("Google", "Facebook")}
 
     matrices = benchmark.pedantic(build, rounds=1, iterations=1)
     report(

@@ -6,10 +6,10 @@ the repo root:
 * **parity** — a :class:`~repro.stream.PcapFollower` fed the capture in
   growth steps must end holding the *same* table a batch build produces
   (so the ``repro live`` final render is byte-identical to ``repro
-  analyze``), and the online :class:`~repro.stream.StreamAnalyses`
-  reducers must land on exactly the batch values for the version mix,
-  packet mix and off-net counts — for a single pcap and for a
-  ``--no-merge`` shard set fed through per-shard followers.
+  analyze``), and the :class:`~repro.stream.StreamAnalyses` fed in
+  growth steps must hold exactly the state one feed of the finished
+  table gives — for a single pcap and for a ``--no-merge`` shard set fed
+  through per-shard followers (against one feed of the merged table).
 * **incremental** — after a capture grows by ~10%, revalidating the
   ``.capidx`` sidecar against the stored prefix fingerprint and
   dissecting only the appended tail must beat a full no-cache rebuild.
@@ -35,8 +35,6 @@ import time
 from repro.capstore import ClassifiedView, build_from_shards, load_or_build
 from repro.capstore.cache import load_or_build_ex
 from repro.cli import VALID_TABLES, main as cli_main, render_analysis
-from repro.core.offnet import extract_features
-from repro.core.versions import table2
 from repro.netstack.pcap import scan_pcap_offsets, write_pcap
 from repro.simnet.shard import plan_shards, run_shard
 from repro.stream import PcapFollower, StreamAnalyses
@@ -81,19 +79,11 @@ def _follow_in_steps(source, dest, steps=GROWTH_STEPS):
     return follower, analyses, seconds
 
 
-def _reducers_match_batch(analyses, view):
-    """Do the online reducers agree with the batch analyses of ``view``?"""
-    shares = table2(view)
-    features = extract_features(view.backscatter)
-    servers, low = analyses.offnet_counts()
-    return (
-        analyses.rows["backscatter"] == len(view.backscatter)
-        and analyses.rows["scan"] == len(view.scans)
-        and analyses.session_buckets[1] == shares["clients"].counts
-        and analyses.session_buckets[0] == shares["servers"].counts
-        and servers == len(features)
-        and low == sum(1 for f in features.values() if f.low_host_id())
-    )
+def _incremental_equals_single_feed(analyses, table):
+    """Does ``analyses`` hold the state of one feed of all of ``table``?"""
+    single = StreamAnalyses()
+    single.feed(table, 0, table.num_rows)
+    return analyses.snapshot() == single.snapshot()
 
 
 def run_bench(scale=DEFAULT_SCALE):
@@ -125,8 +115,8 @@ def run_bench(scale=DEFAULT_SCALE):
 
         results["parity"]["live_render_identical"] = live_render == batch_render
         results["parity"]["live_table_equal"] = follower.table == batch_view.table
-        results["parity"]["reducers_match_batch"] = _reducers_match_batch(
-            analyses, batch_view
+        results["parity"]["reducers_incremental_equal_single"] = (
+            _incremental_equals_single_feed(analyses, batch_view.table)
         )
 
         # -- parity arm: --no-merge shard set ---------------------------
@@ -145,8 +135,8 @@ def run_bench(scale=DEFAULT_SCALE):
                 shard_follower.table, 0, shard_follower.num_rows
             )
         shard_view = ClassifiedView(*build_from_shards(shard_paths))
-        results["parity"]["shard_reducers_match_batch"] = _reducers_match_batch(
-            shard_analyses, shard_view
+        results["parity"]["shard_reducers_equal_merged"] = (
+            _incremental_equals_single_feed(shard_analyses, shard_view.table)
         )
 
         # -- incremental arm: 10% growth vs full rebuild ----------------

@@ -19,7 +19,7 @@ from repro.core.summary import HYPERGIANT_COLUMNS, summarize
 
 def test_table1_summary(benchmark, capture_2022):
     summary = benchmark.pedantic(
-        summarize, args=(capture_2022.backscatter,), rounds=1, iterations=1
+        summarize, args=(capture_2022,), rounds=1, iterations=1
     )
     rows = [
         ["Coalescence"] + [summary[h].coalescence for h in HYPERGIANT_COLUMNS],

@@ -19,8 +19,9 @@ ORIGINS = ("Cloudflare", "Facebook", "Google", "Remaining")
 
 
 def test_table3_packet_types(benchmark, capture_2022):
-    packets = capture_2022.backscatter + capture_2022.scans
-    mix = benchmark.pedantic(packet_mix, args=(packets,), rounds=1, iterations=1)
+    mix = benchmark.pedantic(
+        packet_mix, args=(capture_2022,), rounds=1, iterations=1
+    )
     rows = [
         [category] + ["%.3f" % mix.share(origin, category) for origin in ORIGINS]
         for category in TABLE3_ROWS

@@ -22,7 +22,7 @@ ORIGINS = ("Cloudflare", "Facebook", "Google", "Remaining")
 
 def test_table4_scid_lengths(benchmark, capture_2022):
     stats = benchmark.pedantic(
-        table4, args=(capture_2022.backscatter,), rounds=1, iterations=1
+        table4, args=(capture_2022,), rounds=1, iterations=1
     )
     rows = [
         [origin, stats[origin].length_summary(), stats[origin].unique_count]

@@ -34,7 +34,7 @@ def main() -> None:
         % (stats.backscatter, stats.scans, stats.removed, 100 * stats.removed_share)
     )
 
-    summary = summarize(capture.backscatter)
+    summary = summarize(capture)
     rows = [
         ["Coalescence"] + [summary[h].coalescence for h in HYPERGIANT_COLUMNS],
         ["Server-chosen IDs"]

@@ -72,7 +72,7 @@ def main() -> None:
     print()
 
     # --- Table 3 ----------------------------------------------------------
-    mix = packet_mix(capture.backscatter + capture.scans)
+    mix = packet_mix(capture)
     print(
         render_table(
             ["Packet type"] + list(ORIGINS),
@@ -86,7 +86,7 @@ def main() -> None:
     print()
 
     # --- Table 4 ----------------------------------------------------------
-    stats = table4(capture.backscatter)
+    stats = table4(capture)
     print(
         render_table(
             ["Origin AS", "SCID length", "Unique SCIDs"],

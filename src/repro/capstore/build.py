@@ -83,9 +83,10 @@ def build_from_records(
 ) -> Tuple[CaptureTable, SanitizationStats]:
     """One streaming dissection pass: records in, columnar table out.
 
-    Emits the same ``sanitize.packets`` counters and ``sanitize:drop``
-    trace events as :func:`~repro.telescope.classify.classify_capture`.
-    ``kept_flags``, if given, receives one byte per input record (1 =
+    The one sanitization loop: every record is classified by
+    :func:`~repro.telescope.classify.classify_record` and reported to a
+    :class:`~repro.telescope.classify.SanitizeEmitter` (``sanitize.packets``
+    counters, ``sanitize:drop`` trace events).  ``kept_flags``, if given, receives one byte per input record (1 =
     kept as a row) — the alignment data :func:`build_from_shards` needs
     to interleave rows during its record-stream merge.  ``progress`` is
     called with the running record count every ~2048 records (heartbeat

@@ -9,22 +9,23 @@ of one shared byte blob — the layout the paper's "dissect once, analyze
 many times" pipeline wants: dense, order-preserving, and cheap to
 concatenate across row groups built by parallel workers.
 
-Analyses never touch the arrays directly: :class:`CapturedRowView` lazily
-re-materializes :class:`~repro.telescope.classify.CapturedPacket`-shaped
-objects (real :class:`~repro.quic.packet.ParsedLongHeader` instances
-included), so every existing `core.*` consumer sees the exact API it was
-written against.
+The paper counts (Tables 2, 3, 4 and the Table 6 off-net counts) are
+column reducers in ``repro.core`` that read these arrays directly, so
+``analyze``, ``live`` and ``sweep`` share one implementation of each.
+The analyses still written against single datagrams (timing, lengths,
+L7LB) go through :class:`CapturedRowView`, which lazily re-materializes
+:class:`~repro.telescope.classify.CapturedPacket`-shaped objects (real
+:class:`~repro.quic.packet.ParsedLongHeader` instances included).
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.quic.packet import PacketType, ParsedLongHeader
 from repro.telescope.classify import (
     CapturedPacket,
-    ClassifiedCapture,
     PacketClass,
     SanitizationStats,
 )
@@ -61,8 +62,10 @@ OFFSET_COLUMNS: Tuple[Tuple[str, str], ...] = (
     ("sv_start", "I"),  # packet -> first supported-version entry
 )
 
-_KLASS_CODES = {PacketClass.BACKSCATTER: 0, PacketClass.SCAN: 1}
+#: ``klass`` column codes; ``_KLASS_VALUES`` is indexed by them.
+BACKSCATTER, SCAN = 0, 1
 _KLASS_VALUES = (PacketClass.BACKSCATTER, PacketClass.SCAN)
+_KLASS_CODES = {klass: code for code, klass in enumerate(_KLASS_VALUES)}
 
 
 class CaptureTable:
@@ -323,12 +326,11 @@ class CapturedRowView:
 
 
 class ClassifiedView:
-    """:class:`ClassifiedCapture`-compatible facade over a CaptureTable.
+    """A sanitized capture: the columnar table plus its sanitization stats.
 
-    Exposes ``backscatter`` / ``scans`` / ``stats`` / ``__len__`` exactly
-    like the object pipeline's output, with rows wrapped in
-    :class:`CapturedRowView`; the split lists are built lazily on first
-    access.
+    What every ``repro.core`` analysis consumes.  The column reducers read
+    ``table``; the row-wise analyses read ``backscatter`` / ``scans``,
+    lists of :class:`CapturedRowView` built lazily on first access.
     """
 
     def __init__(self, table: CaptureTable, stats: SanitizationStats) -> None:
@@ -342,7 +344,7 @@ class ClassifiedView:
         scans: List[CapturedRowView] = []
         klass = self.table.klass
         for row in range(self.table.num_rows):
-            (backscatter if klass[row] == 0 else scans).append(
+            (backscatter if klass[row] == BACKSCATTER else scans).append(
                 CapturedRowView(self.table, row)
             )
         self._backscatter = backscatter
@@ -363,18 +365,7 @@ class ClassifiedView:
     def __len__(self) -> int:
         return self.table.num_rows
 
-    def iter_rows(self) -> Iterator[CapturedRowView]:
-        for row in range(self.table.num_rows):
-            yield CapturedRowView(self.table, row)
-
-    def to_classified_capture(self) -> ClassifiedCapture:
-        """Fully materialize into the legacy object representation."""
-        out = ClassifiedCapture(stats=self.stats)
-        for row in range(self.table.num_rows):
-            packet = self.table.materialize(row)
-            (
-                out.backscatter
-                if packet.klass is PacketClass.BACKSCATTER
-                else out.scans
-            ).append(packet)
-        return out
+    def reduce(self, reducer):
+        """Feed every row to a ``repro.core`` column reducer; its result."""
+        reducer.feed(self.table, 0, self.table.num_rows)
+        return reducer.result()

@@ -595,13 +595,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             capture = _load_shard_capture(args.pcap, args, obs)
         else:
             capture = _load_capture(args, obs=obs, pcap=args.pcap[0])
-        if obs.metrics is not None:
-            with obs.metrics.time_block("analyze"):
-                with obs.span("analyze.render", local=True):
-                    print(render_analysis(capture, wanted))
-        else:
-            with obs.span("analyze.render", local=True):
-                print(render_analysis(capture, wanted))
+        timer = (
+            obs.metrics.time_block("analyze")
+            if obs.metrics is not None
+            else _null_context()
+        )
+        with timer, obs.span("analyze.render", local=True):
+            print(render_analysis(capture, wanted))
         return 0
     finally:
         _finish_obs(args, obs)
@@ -610,16 +610,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def render_analysis(capture, wanted: set) -> str:
     """Render the selected paper tables for a classified capture.
 
-    ``capture`` is anything with ``backscatter``/``scans`` lists of
-    CapturedPacket-shaped objects — the legacy
-    :class:`~repro.telescope.classify.ClassifiedCapture` and the columnar
-    :class:`~repro.capstore.ClassifiedView` render byte-identically,
-    which the equivalence tests and ``bench_analyze`` assert.
+    ``capture`` is a :class:`~repro.capstore.ClassifiedView`: Tables 1-4
+    are column reducers over its table, the timing and length figures
+    read its row views.
     """
     parts: list[str] = []
 
     if "1" in wanted:
-        summary = summarize(capture.backscatter)
+        summary = summarize(capture)
         parts.append(
             render_table(
                 ["Feature"] + list(HYPERGIANT_COLUMNS),
@@ -657,7 +655,7 @@ def render_analysis(capture, wanted: set) -> str:
         )
         parts.append("")
     if "3" in wanted:
-        mix = packet_mix(capture.backscatter + capture.scans)
+        mix = packet_mix(capture)
         parts.append(
             render_table(
                 ["Packet type"] + list(ORIGINS),
@@ -670,7 +668,7 @@ def render_analysis(capture, wanted: set) -> str:
         )
         parts.append("")
     if "4" in wanted:
-        stats = table4(capture.backscatter)
+        stats = table4(capture)
         parts.append(
             render_table(
                 ["Origin AS", "SCID length", "Unique SCIDs"],
@@ -1959,6 +1957,12 @@ def main(argv: list[str] | None = None) -> int:
     except PcapError as exc:
         # An unreadable capture is the user's input, not a crash.
         print("repro: error: %s" % exc, file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # So is a missing or unreadable file named on the command line.
+        if exc.filename is None:
+            raise
+        print("repro: error: %s: %s" % (exc.filename, exc.strerror), file=sys.stderr)
         return 1
 
 

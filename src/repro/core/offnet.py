@@ -14,12 +14,16 @@ from collections import defaultdict
 from typing import Sequence
 from dataclasses import dataclass, field
 
+from repro.capstore.table import BACKSCATTER
 from repro.core.session import SessionStore
 from repro.core.timing import session_gaps
 from repro.inetdata.certs import CertificateStore
 from repro.inetdata.hypergiants import FACEBOOK, Hypergiant
 from repro.quic.cid import mvfst
+from repro.quic.packet import PacketType
 from repro.telescope.classify import CapturedPacket
+
+_VERSION_NEGOTIATION = PacketType.VERSION_NEGOTIATION.value
 
 #: Facebook's characteristic first-resend gap and tolerance (seconds).
 FACEBOOK_RTO = 0.4
@@ -31,6 +35,20 @@ FACEBOOK_LENGTHS = frozenset({1200, 1232})
 #: The improved predictor: off-net caches use low host IDs — the paper
 #: keys on the first 9 bits of the 16-bit host ID being zero.
 LOW_HOST_ID_LIMIT = 1 << 7
+
+#: Hypergiant origins excluded from off-net detection: their own ASes are
+#: the on-net deployments the off-net caches are measured against.
+OFFNET_EXCLUDED = frozenset(("Facebook", "Google", "Cloudflare"))
+
+
+def is_low_host_id(scid: bytes) -> bool:
+    """Does one SCID parse as mvfst v1 with a low host ID?"""
+    decoded = mvfst.try_decode(scid)
+    return (
+        decoded is not None
+        and decoded.version == 1
+        and decoded.host_id < LOW_HOST_ID_LIMIT
+    )
 
 
 @dataclass
@@ -57,11 +75,7 @@ class ServerFeatures:
 
     def low_host_id(self) -> bool:
         """SCIDs parse as mvfst v1 *and* every host ID is low."""
-        if not self.scid_structured_like_facebook():
-            return False
-        return all(
-            mvfst.decode(scid).host_id < LOW_HOST_ID_LIMIT for scid in self.scids
-        )
+        return bool(self.scids) and all(is_low_host_id(s) for s in self.scids)
 
     def inter_arrival_like_facebook(self) -> bool:
         """Median first-resend gap within tolerance of Facebook's 0.4 s."""
@@ -145,11 +159,9 @@ class ClassifierMetrics:
 
 def extract_features(
     packets: Sequence[CapturedPacket],
-    exclude_origins: tuple[str, ...] = ("Facebook", "Google", "Cloudflare"),
+    exclude_origins: frozenset[str] = OFFNET_EXCLUDED,
 ) -> dict[int, ServerFeatures]:
     """Per-server features from backscatter outside hypergiant ASes."""
-    from repro.quic.packet import PacketType
-
     features: dict[int, ServerFeatures] = {}
     store = SessionStore.from_packets(packets)
     for packet in packets:
@@ -179,6 +191,64 @@ def extract_features(
         if gaps:
             record.first_gaps.append(gaps[0])
     return features
+
+
+class OffnetReducer:
+    """Table 6's candidate count over table columns.
+
+    Counts the backscatter-emitting servers outside the hypergiant ASes
+    and those whose every SCID passes :func:`is_low_host_id` — what
+    :func:`extract_features` and :meth:`ServerFeatures.low_host_id` give,
+    without building the feature records.
+    """
+
+    def __init__(self) -> None:
+        #: source IP -> None (no SCID yet) or AND of its SCID verdicts.
+        self._servers: dict[int, bool | None] = {}
+        self._verdicts: dict[bytes, bool] = {}
+
+    def feed(self, table, start: int, end: int) -> None:
+        klass = table.klass
+        origin_id = table.origin_id
+        origins = table.origins
+        src_ip = table.src_ip
+        pkt_start = table.pkt_start
+        pkt_type = table.pkt_type
+        bytes_start = table.bytes_start
+        dcid_len = table.dcid_len
+        scid_len = table.scid_len
+        blob = table.blob
+        servers = self._servers
+        verdicts = self._verdicts
+        for row in range(start, end):
+            j0 = pkt_start[row]
+            if (
+                klass[row] != BACKSCATTER
+                or origins[origin_id[row]] in OFFNET_EXCLUDED
+                # VN SCIDs echo the client's DCID (see extract_features).
+                or pkt_type[j0] == _VERSION_NEGOTIATION
+            ):
+                continue
+            address = src_ip[row]
+            low = servers.setdefault(address, None)
+            for j in range(j0, pkt_start[row + 1]):
+                if scid_len[j] and low is not False:
+                    cursor = bytes_start[j] + dcid_len[j]
+                    scid = bytes(blob[cursor : cursor + scid_len[j]])
+                    verdict = verdicts.get(scid)
+                    if verdict is None:
+                        verdict = verdicts[scid] = is_low_host_id(scid)
+                    low = verdict
+            servers[address] = low
+
+    def result(self) -> tuple[int, int]:
+        """(candidate servers, servers passing the low-host-ID test)."""
+        return len(self._servers), sum(1 for low in self._servers.values() if low)
+
+
+def offnet_counts(view) -> tuple[int, int]:
+    """Table 6's off-net counts for a classified capture: one feed."""
+    return view.reduce(OffnetReducer())
 
 
 def evaluate_classifiers(

@@ -13,6 +13,7 @@ from collections import Counter, defaultdict
 from typing import Sequence
 from dataclasses import dataclass, field
 
+from repro.capstore.table import BACKSCATTER
 from repro.quic.packet import PacketType
 from repro.telescope.classify import CapturedPacket
 
@@ -24,27 +25,17 @@ TABLE3_ROWS = (
     "Coalesced Initial & Handshake",
 )
 
-
-def datagram_category(packet: CapturedPacket) -> str:
-    """The Table 3 row a captured datagram falls into."""
-    types = [p.packet_type for p in packet.packets]
-    if len(types) > 1:
-        kinds = set(types)
-        if kinds <= {PacketType.INITIAL, PacketType.HANDSHAKE}:
-            return "Coalesced Initial & Handshake"
-        return "Coalesced other"
-    only = types[0]
-    if only is PacketType.INITIAL:
-        return "Initial"
-    if only is PacketType.HANDSHAKE:
-        return "Handshake"
-    if only is PacketType.ZERO_RTT:
-        return "0-RTT"
-    if only is PacketType.RETRY:
-        return "Retry"
-    if only is PacketType.VERSION_NEGOTIATION:
-        return "Version Negotiation"
-    return "1-RTT"
+#: Category of a single-packet datagram by packet-type code; any other
+#: type counts as "1-RTT".  Version Negotiation maps to None: the paper's
+#: table covers the four flight types, so those datagrams are skipped.
+_SINGLE_CATEGORY = {
+    PacketType.INITIAL.value: "Initial",
+    PacketType.HANDSHAKE.value: "Handshake",
+    PacketType.ZERO_RTT.value: "0-RTT",
+    PacketType.RETRY.value: "Retry",
+    PacketType.VERSION_NEGOTIATION.value: None,
+}
+_COALESCABLE = frozenset((PacketType.INITIAL.value, PacketType.HANDSHAKE.value))
 
 
 @dataclass
@@ -71,15 +62,48 @@ class PacketMix:
         return self.coalescence_share(origin) > threshold
 
 
-def packet_mix(packets: Sequence[CapturedPacket]) -> PacketMix:
-    """Compute Table 3 from classified backscatter."""
-    counts: dict[str, Counter] = defaultdict(Counter)
-    for packet in packets:
-        category = datagram_category(packet)
-        if category == "Version Negotiation":
-            continue  # the paper's table covers the four flight types
-        counts[packet.origin][category] += 1
-    return PacketMix(counts=dict(counts))
+class PacketMixReducer:
+    """Table 3 over table columns: datagram categories per origin."""
+
+    def __init__(self, backscatter_only: bool = False) -> None:
+        self.backscatter_only = backscatter_only
+        self.mix = PacketMix()
+
+    def feed(self, table, start: int, end: int) -> None:
+        klass = table.klass
+        origin_id = table.origin_id
+        origins = table.origins
+        pkt_start = table.pkt_start
+        pkt_type = table.pkt_type
+        counts = self.mix.counts
+        backscatter_only = self.backscatter_only
+        for row in range(start, end):
+            if backscatter_only and klass[row] != BACKSCATTER:
+                continue
+            j0 = pkt_start[row]
+            j1 = pkt_start[row + 1]
+            if j1 - j0 > 1:
+                if {pkt_type[j] for j in range(j0, j1)} <= _COALESCABLE:
+                    category = "Coalesced Initial & Handshake"
+                else:
+                    category = "Coalesced other"
+            else:
+                category = _SINGLE_CATEGORY.get(pkt_type[j0], "1-RTT")
+                if category is None:
+                    continue
+            origin = origins[origin_id[row]]
+            counter = counts.get(origin)
+            if counter is None:
+                counter = counts[origin] = Counter()
+            counter[category] += 1
+
+    def result(self) -> PacketMix:
+        return self.mix
+
+
+def packet_mix(view, backscatter_only: bool = False) -> PacketMix:
+    """Table 3 for a classified capture: one feed over its table."""
+    return view.reduce(PacketMixReducer(backscatter_only))
 
 
 def length_signature(packet: CapturedPacket) -> str:

@@ -32,18 +32,6 @@ class NybbleMatrix:
     def positions(self) -> int:
         return len(self.freq)
 
-    def deviation(self) -> float:
-        """Mean absolute deviation from the uniform 1/16 across all cells."""
-        if not self.freq:
-            return 0.0
-        total = sum(
-            abs(value - UNIFORM) for row in self.freq for value in row
-        )
-        return total / (16 * len(self.freq))
-
-    def max_cell(self) -> float:
-        return max((value for row in self.freq for value in row), default=0.0)
-
     def hot_positions(self, threshold: float = 0.25) -> list[int]:
         """Positions where some value occurs suspiciously often."""
         return [
@@ -59,41 +47,59 @@ class NybbleMatrix:
         return out
 
 
-def nybbles(scid: bytes) -> list[int]:
-    """Split a connection ID into its nybble sequence (high nybble first)."""
-    out = []
-    for byte in scid:
-        out.append(byte >> 4)
-        out.append(byte & 0x0F)
-    return out
+class NybbleCounts:
+    """Running per-position nybble-value counts over a SCID multiset.
+
+    Positions beyond a shorter SCID's length simply accumulate fewer
+    samples; :meth:`matrix` normalizes each row by its own sample count,
+    in O(positions) whatever the number of SCIDs added.
+    """
+
+    __slots__ = ("samples", "_counts", "_totals")
+
+    def __init__(self) -> None:
+        self.samples = 0
+        self._counts: list[list[int]] = []
+        self._totals: list[int] = []
+
+    def add(self, scid: bytes) -> None:
+        self.samples += 1
+        counts = self._counts
+        totals = self._totals
+        while len(counts) < 2 * len(scid):
+            counts.append([0] * 16)
+            totals.append(0)
+        position = 0
+        for byte in scid:
+            counts[position][byte >> 4] += 1
+            totals[position] += 1
+            counts[position + 1][byte & 0x0F] += 1
+            totals[position + 1] += 1
+            position += 2
+
+    def matrix(self) -> NybbleMatrix:
+        freq = [
+            [c / total if total else 0.0 for c in row]
+            for row, total in zip(self._counts, self._totals)
+        ]
+        return NybbleMatrix(
+            freq=freq, sample_size=self.samples, position_totals=list(self._totals)
+        )
 
 
 def nybble_matrix(scids: set[bytes] | list[bytes]) -> NybbleMatrix:
-    """Frequency matrix over a population of equal-or-mixed-length SCIDs.
-
-    Positions beyond a shorter SCID's length simply accumulate fewer
-    samples; each row is normalized by its own sample count.
-    """
-    scid_list = list(scids)
-    if not scid_list:
-        return NybbleMatrix(freq=[], sample_size=0)
-    max_positions = max(len(s) for s in scid_list) * 2
-    counts = [[0] * 16 for _ in range(max_positions)]
-    totals = [0] * max_positions
-    for scid in scid_list:
-        for position, value in enumerate(nybbles(scid)):
-            counts[position][value] += 1
-            totals[position] += 1
-    freq = [
-        [c / totals[pos] if totals[pos] else 0.0 for c in counts[pos]]
-        for pos in range(max_positions)
-    ]
-    return NybbleMatrix(
-        freq=freq, sample_size=len(scid_list), position_totals=totals
-    )
+    """Frequency matrix over a population of equal-or-mixed-length SCIDs."""
+    counts = NybbleCounts()
+    for scid in scids:
+        counts.add(scid)
+    return counts.matrix()
 
 
-def is_structured(matrix: NybbleMatrix, chi_threshold: float = 60.0) -> bool:
+def is_structured(
+    matrix: NybbleMatrix,
+    chi_threshold: float = 60.0,
+    max_chi2: float | None = None,
+) -> bool:
     """Table 1's "structured SCIDs" checkmark.
 
     A nybble position of uniformly random IDs has a chi-square statistic
@@ -102,11 +108,14 @@ def is_structured(matrix: NybbleMatrix, chi_threshold: float = 60.0) -> bool:
     host ID) blows far past that at any realistic sample size.  Flag the
     population as structured if *any* position exceeds ``chi_threshold``
     (~8 standard deviations above random).  Works equally for Cloudflare's
-    ~170 observed SCIDs and Google's hundred-thousand.
+    ~170 observed SCIDs and Google's hundred-thousand.  ``max_chi2`` passes
+    in the largest per-position statistic when the caller already has it.
     """
     if matrix.sample_size < 8 or not matrix.freq:
         return False
-    return max(chi_square_uniformity(matrix)) > chi_threshold
+    if max_chi2 is None:
+        max_chi2 = max(chi_square_uniformity(matrix))
+    return max_chi2 > chi_threshold
 
 
 def chi_square_uniformity(matrix: NybbleMatrix) -> list[float]:

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.packet_mix import PacketMix, packet_mix
-from repro.core.scid_entropy import is_structured, nybble_matrix
-from repro.core.scid_stats import scids_by_origin
+from repro.core.packet_mix import packet_mix
+from repro.core.scid_entropy import is_structured
+from repro.core.scid_stats import table4
 from repro.core.l7lb import host_ids_from_scids
 from repro.core.timing import TimingProfile, timing_profiles
-from repro.telescope.classify import CapturedPacket
 
 HYPERGIANT_COLUMNS = ("Cloudflare", "Facebook", "Google")
 
@@ -43,25 +42,25 @@ class DeploymentSummary:
 
 
 def summarize(
-    backscatter: Sequence[CapturedPacket],
+    view,
     echo_detected_origins: frozenset[str] = frozenset({"Google"}),
 ) -> dict[str, DeploymentSummary]:
-    """Build Table 1 from classified backscatter.
+    """Build Table 1 from the backscatter of a classified capture.
 
     ``echo_detected_origins`` carries the one fact passive data cannot
     supply: which providers *echo* the client's DCID instead of choosing
     their own SCIDs.  The paper establishes this with active probes
     (:func:`repro.active.prober.detect_echo_behaviour`); pass the result in.
     """
-    mix = packet_mix(backscatter)
-    timings = timing_profiles(backscatter)
-    scids = scids_by_origin(backscatter)
+    mix = packet_mix(view, backscatter_only=True)
+    timings = timing_profiles(view.backscatter)
+    scids = table4(view)
 
     out: dict[str, DeploymentSummary] = {}
     for origin in HYPERGIANT_COLUMNS:
-        origin_scids = scids.get(origin, set())
-        matrix = nybble_matrix(origin_scids)
-        structured = bool(origin_scids) and is_structured(matrix)
+        stats = scids.get(origin)
+        origin_scids = stats.unique_scids if stats is not None else set()
+        structured = stats is not None and is_structured(stats.matrix())
         host_ids = host_ids_from_scids(origin_scids)
         timing: TimingProfile | None = timings.get(origin)
         out[origin] = DeploymentSummary(

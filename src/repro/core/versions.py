@@ -12,9 +12,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from repro.core.session import SessionStore
+from repro.capstore.table import BACKSCATTER, SCAN
 from repro.quic.version import table2_bucket
-from repro.telescope.classify import ClassifiedCapture
 
 TABLE2_ROWS = ("QUICv1", "Facebook mvfst 2", "draft-29", "others")
 
@@ -31,29 +30,56 @@ class VersionShares:
             return 0.0
         return 100.0 * self.counts.get(bucket, 0) / self.total
 
-    def as_row(self) -> dict[str, float]:
-        return {bucket: self.share(bucket) for bucket in TABLE2_ROWS}
+
+class VersionReducer:
+    """Table 2 over table columns: sessions per version bucket and side.
+
+    A session is keyed by its first datagram's addresses and first packet's
+    connection IDs, and bucketed by that packet's version.
+    """
+
+    def __init__(self) -> None:
+        # Indexed by klass code: backscatter = servers, scans = clients.
+        self._sessions = (set(), set())
+        self._counts = (Counter(), Counter())
+
+    def feed(self, table, start: int, end: int) -> None:
+        klass = table.klass
+        src_ip = table.src_ip
+        dst_ip = table.dst_ip
+        pkt_start = table.pkt_start
+        pkt_version = table.pkt_version
+        bytes_start = table.bytes_start
+        dcid_len = table.dcid_len
+        scid_len = table.scid_len
+        blob = table.blob
+        for row in range(start, end):
+            j = pkt_start[row]
+            cursor = bytes_start[j]
+            # DCID then SCID are adjacent in the blob; with the DCID length
+            # the one slice identifies the (SCID, DCID) pair.
+            cids = bytes(blob[cursor : cursor + dcid_len[j] + scid_len[j]])
+            key = (src_ip[row], dst_ip[row], dcid_len[j], cids)
+            sessions = self._sessions[klass[row]]
+            if key not in sessions:
+                sessions.add(key)
+                self._counts[klass[row]][table2_bucket(pkt_version[j])] += 1
+
+    def result(self) -> dict[str, VersionShares]:
+        """Client (scans) and server (backscatter) version shares."""
+        return {
+            side: VersionShares(self._counts[code], len(self._sessions[code]))
+            for side, code in (("clients", SCAN), ("servers", BACKSCATTER))
+        }
 
 
-def version_shares(packets) -> VersionShares:
-    """Bucket one packet population (scans or backscatter) by session."""
-    store = SessionStore.from_packets(packets)
-    counts: Counter = Counter()
-    for session in store.sessions():
-        counts[table2_bucket(session.version)] += 1
-    return VersionShares(counts=counts, total=len(store))
-
-
-def table2(capture: ClassifiedCapture) -> dict[str, VersionShares]:
-    """Client (scans) and server (backscatter) version shares."""
-    return {
-        "clients": version_shares(capture.scans),
-        "servers": version_shares(capture.backscatter),
-    }
+def table2(view) -> dict[str, VersionShares]:
+    """Table 2 for a classified capture: one feed over its table."""
+    return view.reduce(VersionReducer())
 
 
 def table2_rows(
-    captures: dict[int, ClassifiedCapture],
+    captures: dict,
 ) -> list[tuple[str, dict[int, float], dict[int, float]]]:
     """Rows of the full Table 2: (bucket, clients-by-year, servers-by-year)."""
     shares = {year: table2(capture) for year, capture in captures.items()}

@@ -5,9 +5,9 @@ finished pcap once and renders the paper's tables; this package is its
 live twin.  ``live`` follows a *growing* capture — polling the file,
 dissecting only newly completed records, appending into the same
 columnar :class:`~repro.capstore.CaptureTable` a batch pass would build
-— and ``reducers`` keeps windowed online versions of the core analyses
-(version mix, packet-class mix, SCID structure, off-net share, rates)
-up to date per row batch, publishing them into a
+— and ``reducers`` feeds the ``repro.core`` column reducers (version
+mix, packet-class mix, SCID structure, off-net share) plus row rates
+per row batch, publishing them into a
 :class:`~repro.obs.MetricsRegistry` so ``--prom-file``/``--prom-port``
 export them while the run is still in flight.  ``tail`` holds the
 generic follow-a-file primitives (JSONL traces, snapshot files).

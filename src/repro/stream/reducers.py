@@ -1,130 +1,39 @@
-"""Windowed online versions of the core analyses.
+"""The live analyses: ``repro.core``'s column reducers, fed incrementally.
 
 :class:`StreamAnalyses` consumes :class:`~repro.capstore.CaptureTable`
 row batches as they are appended by a live follower and keeps the
-paper's headline numbers continuously up to date:
+paper's headline numbers continuously up to date.  The counts are the
+same reducers ``repro analyze`` and ``repro sweep`` run in one feed:
 
-* session-deduplicated version mix per side (Table 2),
-* datagram-category mix per origin (Table 3),
+* session-deduplicated version mix per side (Table 2,
+  :class:`~repro.core.versions.VersionReducer`),
+* datagram-category mix per origin (Table 3,
+  :class:`~repro.core.packet_mix.PacketMixReducer`),
 * unique SCIDs, length distribution and nybble structure per origin
-  (Table 4 / Figure 5),
-* off-net candidate servers and the low-host-ID share (Table 6),
-* per-origin row rates over the observed capture span.
+  (Table 4 / Figure 5, :class:`~repro.core.scid_stats.ScidReducer`),
+* off-net candidate servers and the low-host-ID share (Table 6,
+  :class:`~repro.core.offnet.OffnetReducer`).
 
-Each reducer is *incremental over the raw columns* — no
-``CapturedPacket`` materialization, no re-scan of already-fed rows —
-and is defined to agree exactly with its batch counterpart in
-``repro.core`` when fed the rows of one table in order (asserted by
-``tests/stream/test_reducers.py``).  :meth:`StreamAnalyses.publish`
-mirrors the state into ``stream.*`` gauges so ``--prom-file`` /
-``--prom-port`` export the live numbers.
+What is live-only lives here: row counters, the observed capture span
+and per-origin row rates, :meth:`StreamAnalyses.snapshot` for the
+dashboard and :meth:`StreamAnalyses.publish`, which mirrors the state
+into ``stream.*`` gauges so ``--prom-file`` / ``--prom-port`` export
+the live numbers.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Iterator, Optional, Tuple
 
-from repro.capstore.table import CaptureTable
-from repro.core.offnet import LOW_HOST_ID_LIMIT
-from repro.core.scid_entropy import (
-    NybbleMatrix,
-    chi_square_uniformity,
-    is_structured,
-)
-from repro.core.versions import TABLE2_ROWS
-from repro.quic.cid import mvfst
-from repro.quic.packet import PacketType
-from repro.quic.version import table2_bucket
+from repro.capstore.table import BACKSCATTER, SCAN, CaptureTable
+from repro.core.offnet import OffnetReducer
+from repro.core.packet_mix import PacketMixReducer
+from repro.core.scid_entropy import chi_square_uniformity, is_structured
+from repro.core.scid_stats import ScidReducer, ScidStats
+from repro.core.versions import TABLE2_ROWS, VersionReducer
 
-_INITIAL = PacketType.INITIAL.value
-_HANDSHAKE = PacketType.HANDSHAKE.value
-_RETRY = PacketType.RETRY.value
-_VN = PacketType.VERSION_NEGOTIATION.value
-
-#: Single-packet datagram categories by packet-type code (Table 3).
-_SINGLE_CATEGORY = {
-    _INITIAL: "Initial",
-    _HANDSHAKE: "Handshake",
-    PacketType.ZERO_RTT.value: "0-RTT",
-    _RETRY: "Retry",
-    _VN: "Version Negotiation",
-}
-_COALESCABLE = frozenset((_INITIAL, _HANDSHAKE))
-
-#: Hypergiant origins excluded from off-net detection (they are the
-#: on-net deployments the off-net caches are measured against).
-OFFNET_EXCLUDED = frozenset(("Facebook", "Google", "Cloudflare"))
-
-
-class ScidAccumulator:
-    """Unique SCIDs of one origin with incremental nybble statistics.
-
-    Mirrors :func:`repro.core.scid_entropy.nybble_matrix` over the
-    running set: per-position value counts are bumped only when a SCID
-    is seen for the first time, so :meth:`matrix` is O(positions) to
-    render instead of O(unique SCIDs) to recompute.
-    """
-
-    __slots__ = ("scids", "lengths", "_counts", "_totals")
-
-    def __init__(self) -> None:
-        self.scids: Set[bytes] = set()
-        self.lengths: Counter = Counter()
-        self._counts: List[List[int]] = []
-        self._totals: List[int] = []
-
-    def add(self, scid: bytes) -> bool:
-        """Absorb one SCID; returns True when it was new."""
-        if scid in self.scids:
-            return False
-        self.scids.add(scid)
-        self.lengths[len(scid)] += 1
-        positions = len(scid) * 2
-        while len(self._counts) < positions:
-            self._counts.append([0] * 16)
-            self._totals.append(0)
-        position = 0
-        for byte in scid:
-            self._counts[position][byte >> 4] += 1
-            self._totals[position] += 1
-            position += 1
-            self._counts[position][byte & 0x0F] += 1
-            self._totals[position] += 1
-            position += 1
-        return True
-
-    @property
-    def unique_count(self) -> int:
-        return len(self.scids)
-
-    @property
-    def dominant_length(self) -> Optional[int]:
-        if not self.lengths:
-            return None
-        return self.lengths.most_common(1)[0][0]
-
-    def matrix(self) -> NybbleMatrix:
-        """The Figure 5 frequency matrix of the SCIDs seen so far."""
-        freq = [
-            [c / total if total else 0.0 for c in row]
-            for row, total in zip(self._counts, self._totals)
-        ]
-        return NybbleMatrix(
-            freq=freq,
-            sample_size=len(self.scids),
-            position_totals=list(self._totals),
-        )
-
-
-class _OffnetServer:
-    """Minimal per-source-IP state for the low-host-ID off-net test."""
-
-    __slots__ = ("has_scid", "ok")
-
-    def __init__(self) -> None:
-        self.has_scid = False
-        self.ok = True  # AND over per-SCID verdicts; vacuous until has_scid
+_KLASS_NAMES = {BACKSCATTER: "backscatter", SCAN: "scan"}
 
 
 class StreamAnalyses:
@@ -135,16 +44,10 @@ class StreamAnalyses:
         self.rows: Counter = Counter()
         self.rows_by_origin: Counter = Counter()
         self.rows_fed = 0
-        # Session version mix, indexed by klass code (0=backscatter →
-        # servers side, 1=scan → clients side).
-        self._session_keys: Tuple[set, set] = (set(), set())
-        self.session_buckets: Tuple[Counter, Counter] = (Counter(), Counter())
-        #: origin → Counter(datagram category), VN excluded (Table 3).
-        self.packet_mix: Dict[str, Counter] = {}
-        #: origin → ScidAccumulator (backscatter SCIDs, Table 4).
-        self.scids: Dict[str, ScidAccumulator] = {}
-        self._offnet: Dict[int, _OffnetServer] = {}
-        self._scid_verdict: Dict[bytes, bool] = {}
+        self.versions = VersionReducer()
+        self.packet_mix = PacketMixReducer()
+        self.scids = ScidReducer()
+        self.offnet = OffnetReducer()
         self.ts_min: Optional[float] = None
         self.ts_max: Optional[float] = None
 
@@ -153,127 +56,30 @@ class StreamAnalyses:
     def feed(self, table: CaptureTable, start: int, end: int) -> int:
         """Absorb rows ``[start, end)`` of ``table``; returns rows fed.
 
-        Rows must be fed exactly once and in table order (the follower's
-        append-only cursor guarantees both); the reducers then agree
-        with their batch counterparts at every prefix.
+        Rows must be fed exactly once (the follower's append-only cursor
+        guarantees it); any split into batches then gives the state one
+        feed of all the rows gives.  Successive batches may come from
+        different tables (one per followed shard).
         """
-        pkt_start = table.pkt_start
-        bytes_start = table.bytes_start
-        dcid_len = table.dcid_len
-        scid_len = table.scid_len
-        pkt_type = table.pkt_type
-        pkt_version = table.pkt_version
-        blob = table.blob
-        klass = table.klass
-        origin_id = table.origin_id
+        if end <= start:
+            return 0
+        for code, count in Counter(table.klass[start:end]).items():
+            self.rows[_KLASS_NAMES[code]] += count
         origins = table.origins
-        ts = table.ts
-        src_ip = table.src_ip
-        dst_ip = table.dst_ip
-
-        for row in range(start, end):
-            k = klass[row]
-            origin = origins[origin_id[row]]
-            j0 = pkt_start[row]
-            j1 = pkt_start[row + 1]
-            stamp = ts[row]
-            if self.ts_min is None or stamp < self.ts_min:
-                self.ts_min = stamp
-            if self.ts_max is None or stamp > self.ts_max:
-                self.ts_max = stamp
-            self.rows["backscatter" if k == 0 else "scan"] += 1
-            self.rows_by_origin[origin] += 1
-
-            # First packet's connection IDs (the session identity).
-            cursor = bytes_start[j0]
-            dcid_end = cursor + dcid_len[j0]
-            scid_end = dcid_end + scid_len[j0]
-            first_dcid = bytes(blob[cursor:dcid_end])
-            first_scid = bytes(blob[dcid_end:scid_end])
-
-            # Table 2: one session per (src, dst, SCID, DCID), bucketed
-            # by the version of its first observed datagram.
-            key = (src_ip[row], dst_ip[row], first_scid, first_dcid)
-            keys = self._session_keys[k]
-            if key not in keys:
-                keys.add(key)
-                self.session_buckets[k][table2_bucket(pkt_version[j0])] += 1
-
-            # Table 3 datagram category (VN excluded, like packet_mix).
-            if j1 - j0 > 1:
-                kinds = {pkt_type[j] for j in range(j0, j1)}
-                category = (
-                    "Coalesced Initial & Handshake"
-                    if kinds <= _COALESCABLE
-                    else "Coalesced other"
-                )
-            else:
-                category = _SINGLE_CATEGORY.get(pkt_type[j0], "1-RTT")
-            if category != "Version Negotiation":
-                mix = self.packet_mix.get(origin)
-                if mix is None:
-                    mix = self.packet_mix[origin] = Counter()
-                mix[category] += 1
-
-            if k != 0:
-                continue  # SCID/off-net features come from backscatter only
-
-            # Table 4: unique server CIDs from Initial/Handshake/Retry.
-            accumulator = None
-            for j in range(j0, j1):
-                if scid_len[j] and pkt_type[j] in (_INITIAL, _HANDSHAKE, _RETRY):
-                    if accumulator is None:
-                        accumulator = self.scids.get(origin)
-                        if accumulator is None:
-                            accumulator = self.scids[origin] = ScidAccumulator()
-                    cj = bytes_start[j] + dcid_len[j]
-                    accumulator.add(bytes(blob[cj : cj + scid_len[j]]))
-
-            # Table 6: off-net candidates outside the hypergiants.  VN
-            # SCIDs echo the client's DCID, so VN-first rows are skipped
-            # (mirrors ``offnet.extract_features``).
-            if origin in OFFNET_EXCLUDED or pkt_type[j0] == _VN:
-                continue
-            server = self._offnet.get(src_ip[row])
-            if server is None:
-                server = self._offnet[src_ip[row]] = _OffnetServer()
-            for j in range(j0, j1):
-                if scid_len[j]:
-                    cj = bytes_start[j] + dcid_len[j]
-                    scid = bytes(blob[cj : cj + scid_len[j]])
-                    server.has_scid = True
-                    if server.ok:
-                        server.ok = self._low_host_verdict(scid)
+        for index, count in Counter(table.origin_id[start:end]).items():
+            self.rows_by_origin[origins[index]] += count
+        stamps = table.ts[start:end]
+        low, high = min(stamps), max(stamps)
+        if self.ts_min is None or low < self.ts_min:
+            self.ts_min = low
+        if self.ts_max is None or high > self.ts_max:
+            self.ts_max = high
+        for reducer in (self.versions, self.packet_mix, self.scids, self.offnet):
+            reducer.feed(table, start, end)
         self.rows_fed += end - start
         return end - start
 
-    def _low_host_verdict(self, scid: bytes) -> bool:
-        """Does one SCID pass the mvfst-v1 low-host-ID test?  (Cached.)"""
-        verdict = self._scid_verdict.get(scid)
-        if verdict is None:
-            decoded = mvfst.try_decode(scid)
-            verdict = (
-                decoded is not None
-                and decoded.version == 1
-                and decoded.host_id < LOW_HOST_ID_LIMIT
-            )
-            self._scid_verdict[scid] = verdict
-        return verdict
-
     # -- reading ---------------------------------------------------------
-
-    def matrix(self, origin: str) -> NybbleMatrix:
-        accumulator = self.scids.get(origin)
-        if accumulator is None:
-            return NybbleMatrix(freq=[], sample_size=0)
-        return accumulator.matrix()
-
-    def offnet_counts(self) -> Tuple[int, int]:
-        """(candidate servers, servers passing the low-host-ID test)."""
-        low = sum(
-            1 for server in self._offnet.values() if server.has_scid and server.ok
-        )
-        return len(self._offnet), low
 
     @property
     def span_seconds(self) -> float:
@@ -281,34 +87,43 @@ class StreamAnalyses:
             return 0.0
         return self.ts_max - self.ts_min
 
+    def _scid_structure(self) -> Iterator[Tuple[str, ScidStats, bool, float]]:
+        """(origin, stats, structured, max chi-square) per origin.
+
+        O(origins × positions): the nybble counts are kept up to date as
+        SCIDs arrive, and each origin's chi-square vector is built once.
+        """
+        for origin, stats in self.scids.result().items():
+            matrix = stats.matrix()
+            chi2 = max(chi_square_uniformity(matrix), default=0.0)
+            yield origin, stats, is_structured(matrix, max_chi2=chi2), chi2
+
     def snapshot(self) -> dict:
         """Plain-data view of every reducer (dashboard and test surface)."""
         span = self.span_seconds
-        sessions = {}
-        for code, side in ((1, "clients"), (0, "servers")):
-            sessions[side] = {
-                "total": len(self._session_keys[code]),
-                "buckets": dict(self.session_buckets[code]),
-            }
-        scids = {}
-        for origin, accumulator in self.scids.items():
-            matrix = accumulator.matrix()
-            scids[origin] = {
-                "unique": accumulator.unique_count,
-                "lengths": dict(accumulator.lengths),
-                "dominant_length": accumulator.dominant_length,
-                "structured": is_structured(matrix),
-                "max_chi2": max(chi_square_uniformity(matrix), default=0.0),
-            }
-        servers, low = self.offnet_counts()
+        versions = self.versions.result()
+        servers, low = self.offnet.result()
         return {
             "rows": dict(self.rows),
             "rows_fed": self.rows_fed,
-            "sessions": sessions,
-            "packet_mix": {
-                origin: dict(counter) for origin, counter in self.packet_mix.items()
+            "sessions": {
+                side: {"total": shares.total, "buckets": dict(shares.counts)}
+                for side, shares in versions.items()
             },
-            "scids": scids,
+            "packet_mix": {
+                origin: dict(counter)
+                for origin, counter in self.packet_mix.result().counts.items()
+            },
+            "scids": {
+                origin: {
+                    "unique": stats.unique_count,
+                    "lengths": dict(stats.length_counts),
+                    "dominant_length": stats.dominant_length,
+                    "structured": structured,
+                    "max_chi2": chi2,
+                }
+                for origin, stats, structured, chi2 in self._scid_structure()
+            },
             "offnet": {"servers": servers, "low_host_id": low},
             "span_seconds": span,
             "rows_per_sec": {
@@ -331,29 +146,26 @@ class StreamAnalyses:
             rows.set_key((name,), value)
         metrics.gauge("stream.rows_fed").set_key((), self.rows_fed)
         sessions = metrics.gauge("stream.sessions", ("side", "bucket"))
-        for code, side in ((1, "clients"), (0, "servers")):
-            sessions.set_key((side, "total"), len(self._session_keys[code]))
+        for side, shares in self.versions.result().items():
+            sessions.set_key((side, "total"), shares.total)
             for bucket in TABLE2_ROWS:
-                count = self.session_buckets[code].get(bucket, 0)
+                count = shares.counts.get(bucket, 0)
                 if count:
                     sessions.set_key((side, bucket), count)
         mix = metrics.gauge("stream.packet_mix", ("origin", "category"))
-        for origin, counter in self.packet_mix.items():
+        for origin, counter in self.packet_mix.result().counts.items():
             for category, count in counter.items():
                 mix.set_key((origin, category), count)
         unique = metrics.gauge("stream.scid_unique", ("origin",))
         dominant = metrics.gauge("stream.scid_dominant_len", ("origin",))
-        structured = metrics.gauge("stream.scid_structured", ("origin",))
-        chi2 = metrics.gauge("stream.scid_max_chi2", ("origin",))
-        for origin, accumulator in self.scids.items():
-            unique.set_key((origin,), accumulator.unique_count)
-            dominant.set_key((origin,), accumulator.dominant_length or 0)
-            matrix = accumulator.matrix()
-            structured.set_key((origin,), 1 if is_structured(matrix) else 0)
-            chi2.set_key(
-                (origin,), max(chi_square_uniformity(matrix), default=0.0)
-            )
-        servers, low = self.offnet_counts()
+        structured_gauge = metrics.gauge("stream.scid_structured", ("origin",))
+        chi2_gauge = metrics.gauge("stream.scid_max_chi2", ("origin",))
+        for origin, stats, structured, chi2 in self._scid_structure():
+            unique.set_key((origin,), stats.unique_count)
+            dominant.set_key((origin,), stats.dominant_length or 0)
+            structured_gauge.set_key((origin,), 1 if structured else 0)
+            chi2_gauge.set_key((origin,), chi2)
+        servers, low = self.offnet.result()
         metrics.gauge("stream.offnet_servers").set_key((), servers)
         metrics.gauge("stream.offnet_low_host_id").set_key((), low)
         span = self.span_seconds

@@ -4,8 +4,9 @@ A sweep spec names the metrics to record per grid cell.  Three sources
 feed them:
 
 * the classified capture itself (row counts, removal share);
-* the ``repro.core`` analyses over the capture (version shares, packet
-  mixes, SCID uniqueness, off-net counts);
+* the ``repro.core`` column reducers over the capture's table (version
+  shares, packet mixes, SCID uniqueness, off-net counts) — the same
+  reducers ``repro analyze`` and ``repro live`` run;
 * the *simulation-time* metrics registry snapshot, persisted per cell as
   ``sim_metrics.json`` so a cache-warm re-run can evaluate registry
   metrics without re-simulating.
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable
 
-from repro.core.offnet import extract_features
+from repro.core.offnet import offnet_counts
 from repro.core.packet_mix import TABLE3_ROWS, packet_mix
 from repro.core.scid_stats import table4
 from repro.core.versions import TABLE2_ROWS, table2
@@ -166,21 +167,15 @@ def evaluate_metrics(
             value = float(analysis("table2", lambda: table2(view))[side].share(bucket))
         elif name.startswith("packet_share."):
             _, origin, category = name.split(".", 2)
-            mix = analysis(
-                "packet_mix", lambda: packet_mix(view.backscatter + view.scans)
-            )
+            mix = analysis("packet_mix", lambda: packet_mix(view))
             value = float(mix.share(origin, category))
         elif name.startswith("scid_unique."):
             _, origin = name.split(".", 1)
-            stats = analysis("table4", lambda: table4(view.backscatter))
+            stats = analysis("table4", lambda: table4(view))
             value = float(stats[origin].unique_count) if origin in stats else 0.0
-        elif name == "offnet.servers":
-            value = float(
-                len(analysis("offnet", lambda: extract_features(view.backscatter)))
-            )
-        elif name == "offnet.low_host_id":
-            features = analysis("offnet", lambda: extract_features(view.backscatter))
-            value = float(sum(1 for f in features.values() if f.low_host_id()))
+        elif name.startswith("offnet."):
+            servers, low = analysis("offnet", lambda: offnet_counts(view))
+            value = float(servers if name == "offnet.servers" else low)
         else:  # pragma: no cover - validate_metric guards the spec
             raise ValueError("unknown metric %r" % name)
         out[name] = value

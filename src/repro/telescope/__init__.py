@@ -4,16 +4,11 @@ classification/sanitization pipeline the paper runs on raw telescope data.
 
 from repro.telescope.darknet import Telescope
 from repro.telescope.acknowledged import AcknowledgedScanners
-from repro.telescope.classify import (
-    ClassifiedCapture,
-    PacketClass,
-    classify_capture,
-)
+from repro.telescope.classify import PacketClass, classify_capture
 
 __all__ = [
     "Telescope",
     "AcknowledgedScanners",
     "PacketClass",
-    "ClassifiedCapture",
     "classify_capture",
 ]

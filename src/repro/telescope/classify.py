@@ -13,8 +13,8 @@ Pipeline, mirroring the paper:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable
 
 from repro.core.dissector import DissectError, dissect_datagram
 from repro.inetdata.asdb import AsDatabase
@@ -24,6 +24,9 @@ from repro.obs import NULL_OBS, Observability
 from repro.obs.trace import CAT_SANITIZE
 from repro.quic.packet import ParsedLongHeader
 from repro.telescope.acknowledged import AcknowledgedScanners
+
+if TYPE_CHECKING:  # capstore builds on this module
+    from repro.capstore.table import ClassifiedView
 
 
 class PacketClass(enum.Enum):
@@ -81,18 +84,6 @@ class SanitizationStats:
         return self.removed / self.total_records if self.total_records else 0.0
 
 
-@dataclass
-class ClassifiedCapture:
-    """Output of the sanitization pipeline."""
-
-    backscatter: list[CapturedPacket] = field(default_factory=list)
-    scans: list[CapturedPacket] = field(default_factory=list)
-    stats: SanitizationStats = field(default_factory=SanitizationStats)
-
-    def __len__(self) -> int:
-        return len(self.backscatter) + len(self.scans)
-
-
 #: Drop reasons in pipeline order.  Each name doubles as the matching
 #: :class:`SanitizationStats` field and the ``sanitize.packets`` counter
 #: stage label, which is what lets the columnar cache rebuild the counter
@@ -106,12 +97,13 @@ DROP_REASONS = (
 
 
 class SanitizeEmitter:
-    """Shared obs emission for both sanitization paths.
+    """Observability of the sanitization loop.
 
-    :func:`classify_capture` (object path) and the columnar builder in
-    ``repro.capstore`` make identical per-record decisions; routing their
-    counter increments and ``sanitize:drop`` trace events through one
-    emitter keeps the observable surface identical too.
+    The columnar builder (:func:`repro.capstore.build.build_from_records`)
+    reports each record's verdict here: drops increment the
+    ``sanitize.packets`` counter under their stage label and emit a
+    ``sanitize:drop`` trace event; kept records count under
+    ``kept_backscatter`` / ``kept_scan``.
     """
 
     def __init__(self, obs: Observability | None) -> None:
@@ -203,7 +195,7 @@ def classify_capture(
     acknowledged: AcknowledgedScanners | None = None,
     validate_crypto_scans: bool = True,
     obs: Observability | None = None,
-) -> ClassifiedCapture:
+) -> ClassifiedView:
     """Run the full sanitization pipeline over raw capture records.
 
     ``records`` may be any iterable, including the streaming
@@ -213,31 +205,19 @@ def classify_capture(
     scan traffic (possible passively because Initial keys derive from the
     DCID); backscatter is validated structurally, as in Wireshark.
 
-    With ``obs`` attached, every removed record emits a ``sanitize:drop``
-    trace event and increments the ``sanitize.packets`` counter under its
-    drop-stage label; kept records count under ``kept_backscatter`` /
-    ``kept_scan``.
+    The records are dissected into a columnar table by
+    :func:`repro.capstore.build.build_from_records`, the one sanitization
+    loop, which also emits the ``obs`` counters and drop events.
     """
-    emitter = SanitizeEmitter(obs)
-    out = ClassifiedCapture()
-    stats = out.stats
-    for record in records:
-        stats.total_records += 1
-        captured, reason = classify_record(
-            record,
+    from repro.capstore.build import build_from_records
+    from repro.capstore.table import ClassifiedView
+
+    return ClassifiedView(
+        *build_from_records(
+            records,
             asdb=asdb,
             acknowledged=acknowledged,
             validate_crypto_scans=validate_crypto_scans,
+            obs=obs,
         )
-        if captured is None:
-            setattr(stats, reason, getattr(stats, reason) + 1)
-            emitter.drop(record, reason)
-            continue
-        if captured.klass is PacketClass.BACKSCATTER:
-            out.backscatter.append(captured)
-            stats.backscatter += 1
-        else:
-            out.scans.append(captured)
-            stats.scans += 1
-        emitter.kept(captured.klass)
-    return out
+    )

@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 from repro.inetdata.asdb import AsDatabase, AsEntry
 from repro.inetdata.certs import CertificateStore
@@ -53,11 +54,14 @@ from repro.server.simple import SimpleQuicServer
 from repro.simnet.eventloop import EventLoop
 from repro.simnet.network import Network, PathModel
 from repro.telescope.acknowledged import AcknowledgedScanners
-from repro.telescope.classify import ClassifiedCapture, classify_capture
+from repro.telescope.classify import classify_capture
 from repro.telescope.darknet import Telescope
 from repro.tls.certs import Certificate
 from repro.workloads.attackers import AttackPlan, SpoofingAttacker
 from repro.workloads.scanners import NoiseSource, ResearchScanner, UnknownScanner
+
+if TYPE_CHECKING:
+    from repro.capstore.table import ClassifiedView
 
 #: Eyeball/ISP networks hosting off-net caches, bots, and other servers.
 ISP_NETWORKS: tuple[tuple[int, str, str], ...] = (
@@ -322,7 +326,7 @@ class Scenario:
         """Run the event loop to completion (all traffic + retransmissions)."""
         self.loop.run()
 
-    def classify(self, validate_crypto_scans: bool = True) -> ClassifiedCapture:
+    def classify(self, validate_crypto_scans: bool = True) -> ClassifiedView:
         return classify_capture(
             self.telescope.records,
             asdb=self.asdb,

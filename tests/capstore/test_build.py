@@ -2,8 +2,10 @@
 
 Classification is stateless per record, so every build strategy must
 yield the *same* columnar table — these tests pin that invariant, plus
-agreement with the legacy object pipeline it replaced.
+agreement with per-record classification.
 """
+
+from collections import Counter
 
 import pytest
 
@@ -22,7 +24,7 @@ from repro.netstack.pcap import (
     write_pcap,
 )
 from repro.simnet.shard import plan_shards, run_shard
-from repro.telescope.classify import PacketClass, classify_capture
+from repro.telescope.classify import DROP_REASONS, PacketClass, classify_record
 from repro.workloads.scenario import ScenarioConfig
 
 
@@ -33,18 +35,27 @@ def serial_build(month_pcap):
 
 class TestSerialBuild:
     def test_matches_legacy_object_pipeline(self, month_pcap, serial_build):
+        """Rows are exactly the packets ``classify_record`` keeps, in order."""
         table, stats = serial_build
-        legacy = classify_capture(
-            read_pcap(month_pcap),
-            asdb=default_asdb(),
-            acknowledged=default_acknowledged(),
+        asdb = default_asdb()
+        acknowledged = default_acknowledged()
+        kept = []
+        reasons = Counter()
+        for record in read_pcap(month_pcap):
+            captured, reason = classify_record(
+                record, asdb=asdb, acknowledged=acknowledged
+            )
+            if captured is None:
+                reasons[reason] += 1
+            else:
+                kept.append(captured)
+        assert [table.materialize(i) for i in range(table.num_rows)] == kept
+        assert stats.total_records == sum(reasons.values()) + len(kept)
+        for reason in DROP_REASONS:
+            assert getattr(stats, reason) == reasons[reason]
+        assert stats.backscatter == sum(
+            1 for p in kept if p.klass is PacketClass.BACKSCATTER
         )
-        assert stats == legacy.stats
-        rows = [table.materialize(i) for i in range(table.num_rows)]
-        assert [p for p in rows if p.klass is PacketClass.BACKSCATTER] == (
-            legacy.backscatter
-        )
-        assert [p for p in rows if p.klass is PacketClass.SCAN] == legacy.scans
 
     def test_streaming_equals_materialized_input(self, month_pcap):
         streamed, _ = build_from_records(

@@ -3,9 +3,12 @@
 import json
 import os
 import struct
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.capstore import sidecar_path
 from repro.cli import main
 from repro.obs import load_snapshot
@@ -144,3 +147,21 @@ class TestUnreadableCapture:
         assert captured.err == expected
         assert captured.out == ""
         assert not os.path.exists(sidecar_path(str(path)))
+
+
+class TestMissingCapture:
+    """A missing input pcap is a one-line error from the real command line."""
+
+    @pytest.mark.parametrize("command", ("analyze", "index", "classify"))
+    def test_one_line_error(self, tmp_path, command):
+        path = str(tmp_path / "nope.pcap")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", command, path],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 1
+        assert result.stderr == "repro: error: %s: No such file or directory\n" % path
+        assert result.stdout == ""

@@ -16,7 +16,7 @@ from repro.core.timing import (
 
 class TestPacketMix:
     def test_shares_sum_to_100_per_origin(self, small_capture):
-        mix = packet_mix(small_capture.backscatter)
+        mix = packet_mix(small_capture, backscatter_only=True)
         for origin in mix.origins():
             total = sum(
                 mix.share(origin, cat)
@@ -33,7 +33,7 @@ class TestPacketMix:
 
     def test_google_coalesces_facebook_does_not(self, small_capture):
         """Table 3's headline: only Google predominantly coalesces."""
-        mix = packet_mix(small_capture.backscatter)
+        mix = packet_mix(small_capture, backscatter_only=True)
         assert mix.coalescence_share("Google") > 30
         assert mix.coalescence_share("Facebook") == 0.0
         assert 0 <= mix.coalescence_share("Cloudflare") < 15
@@ -42,19 +42,19 @@ class TestPacketMix:
 
     def test_facebook_initial_handshake_split(self, small_capture):
         """Without coalescence, Initials and Handshakes are ~50/50."""
-        mix = packet_mix(small_capture.backscatter)
+        mix = packet_mix(small_capture, backscatter_only=True)
         assert 40 < mix.share("Facebook", "Initial") < 60
         assert 40 < mix.share("Facebook", "Handshake") < 60
 
     def test_zero_rtt_only_from_google_and_remaining(self, small_capture):
         """Table 3: 0-RTT appears for Google and Remaining only (cloud bots)."""
-        mix = packet_mix(small_capture.scans + small_capture.backscatter)
+        mix = packet_mix(small_capture)
         assert mix.share("Google", "0-RTT") > 0
         assert mix.share("Facebook", "0-RTT") == 0.0
         assert mix.share("Cloudflare", "0-RTT") == 0.0
 
     def test_unknown_origin_share_zero(self, small_capture):
-        mix = packet_mix(small_capture.backscatter)
+        mix = packet_mix(small_capture, backscatter_only=True)
         assert mix.share("Nonexistent", "Initial") == 0.0
 
 

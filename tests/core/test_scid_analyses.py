@@ -8,7 +8,6 @@ from repro.core.scid_entropy import (
     chi_square_uniformity,
     is_structured,
     nybble_matrix,
-    nybbles,
 )
 from repro.core.scid_stats import table4
 from repro.core.summary import summarize
@@ -16,7 +15,7 @@ from repro.core.summary import summarize
 
 class TestTable4:
     def test_scid_lengths_per_origin(self, small_capture):
-        stats = table4(small_capture.backscatter)
+        stats = table4(small_capture)
         assert stats["Cloudflare"].dominant_length == 20
         assert stats["Facebook"].dominant_length == 8
         assert stats["Google"].dominant_length == 8
@@ -24,12 +23,12 @@ class TestTable4:
 
     def test_google_most_unique_scids(self, small_capture):
         """Table 4 ordering: Google > Facebook > Remaining > Cloudflare."""
-        stats = table4(small_capture.backscatter)
+        stats = table4(small_capture)
         assert stats["Google"].unique_count > stats["Facebook"].unique_count
         assert stats["Facebook"].unique_count > stats["Cloudflare"].unique_count
 
     def test_remaining_has_rare_other_lengths(self, small_capture):
-        summary = table4(small_capture.backscatter)["Remaining"].length_summary()
+        summary = table4(small_capture)["Remaining"].length_summary()
         assert summary.startswith("8")
 
     def test_length_summary_empty(self):
@@ -39,9 +38,6 @@ class TestTable4:
 
 
 class TestNybbles:
-    def test_nybble_split(self):
-        assert nybbles(b"\xab\x01") == [0xA, 0xB, 0x0, 0x1]
-
     def test_matrix_rows_sum_to_one(self):
         rng = random.Random(1)
         scids = {rng.getrandbits(64).to_bytes(8, "big") for _ in range(200)}
@@ -60,16 +56,12 @@ class TestStructureDetection:
     """Figure 5: Google uniform, Facebook structured."""
 
     def test_google_scids_look_random(self, small_capture):
-        from repro.core.scid_stats import scids_by_origin
-
-        scids = scids_by_origin(small_capture.backscatter)["Google"]
+        scids = table4(small_capture)["Google"].unique_scids
         matrix = nybble_matrix(scids)
         assert not is_structured(matrix)
 
     def test_facebook_scids_structured(self, small_capture):
-        from repro.core.scid_stats import scids_by_origin
-
-        scids = scids_by_origin(small_capture.backscatter)["Facebook"]
+        scids = table4(small_capture)["Facebook"].unique_scids
         matrix = nybble_matrix(scids)
         assert is_structured(matrix)
         # Structure concentrates in the leading positions (host/worker IDs).
@@ -77,9 +69,7 @@ class TestStructureDetection:
         assert hot and min(hot) == 0
 
     def test_cloudflare_scids_structured(self, small_capture):
-        from repro.core.scid_stats import scids_by_origin
-
-        scids = scids_by_origin(small_capture.backscatter)["Cloudflare"]
+        scids = table4(small_capture)["Cloudflare"].unique_scids
         matrix = nybble_matrix(scids)
         assert is_structured(matrix)
         # First byte is fixed 0x01: position 0 frequency of nybble 0 is 1.
@@ -87,9 +77,7 @@ class TestStructureDetection:
         assert matrix.freq[1][1] == pytest.approx(1.0)
 
     def test_entropy_per_position(self, small_capture):
-        from repro.core.scid_stats import scids_by_origin
-
-        scids = scids_by_origin(small_capture.backscatter)["Facebook"]
+        scids = table4(small_capture)["Facebook"].unique_scids
         matrix = nybble_matrix(scids)
         entropy = matrix.entropy_per_position()
         # Leading (structured) positions carry less entropy than the random
@@ -106,7 +94,7 @@ class TestStructureDetection:
 
 class TestTable1Summary:
     def test_matches_paper_matrix(self, small_capture):
-        summary = summarize(small_capture.backscatter)
+        summary = summarize(small_capture)
         cf, fb, gg = (
             summary["Cloudflare"],
             summary["Facebook"],
@@ -130,6 +118,6 @@ class TestTable1Summary:
         assert gg.initial_rto == pytest.approx(0.3, abs=0.05)
 
     def test_labels(self, small_capture):
-        summary = summarize(small_capture.backscatter)
+        summary = summarize(small_capture)
         assert summary["Facebook"].rto_label() == "0.4 s"
         assert "-" in summary["Facebook"].resend_label()

@@ -1,6 +1,8 @@
 """Table 2: version adoption from sessions."""
 
-from repro.core.versions import TABLE2_ROWS, table2, table2_rows, version_shares
+from repro.capstore import CaptureTable, ClassifiedView
+from repro.core.versions import TABLE2_ROWS, table2, table2_rows
+from repro.telescope.classify import SanitizationStats
 
 
 class TestVersionShares:
@@ -29,7 +31,7 @@ class TestVersionShares:
 
     def test_sessions_counted_once(self, small_capture):
         """Retransmissions must not inflate version counts."""
-        servers = version_shares(small_capture.backscatter)
+        servers = table2(small_capture)["servers"]
         assert servers.total < len(small_capture.backscatter) / 2
 
     def test_table2_rows_structure(self, small_capture):
@@ -39,6 +41,7 @@ class TestVersionShares:
         assert 2022 in clients and 2022 in servers
 
     def test_empty_population(self):
-        shares = version_shares([])
+        empty = ClassifiedView(CaptureTable(), SanitizationStats())
+        shares = table2(empty)["clients"]
         assert shares.total == 0
         assert shares.share("QUICv1") == 0.0

@@ -3,7 +3,7 @@
 import random
 
 from repro.core.l7lb import worker_count_distribution, workers_per_host
-from repro.core.scid_stats import scids_by_origin
+from repro.core.scid_stats import table4
 from repro.quic.cid.mvfst import MvfstCid
 
 
@@ -41,7 +41,7 @@ class TestWorkersPerHost:
 
     def test_facebook_backscatter_shows_multiple_workers(self, small_capture):
         """Active fact behind §4.3: hosts run several worker processes."""
-        scids = scids_by_origin(small_capture.backscatter)["Facebook"]
+        scids = table4(small_capture)["Facebook"].unique_scids
         grouped = workers_per_host(scids)
         assert grouped
         busiest = max(grouped.values(), key=len)

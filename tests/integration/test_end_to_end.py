@@ -42,7 +42,7 @@ class TestPaperHeadlines:
     """Table 1, re-derived end to end."""
 
     def test_summary_matrix(self, small_capture):
-        summary = summarize(small_capture.backscatter)
+        summary = summarize(small_capture)
         rows = {
             name: (
                 s.coalescence,
@@ -64,7 +64,7 @@ class TestPaperHeadlines:
         )
 
     def test_table4_fingerprints(self, small_capture):
-        stats = table4(small_capture.backscatter)
+        stats = table4(small_capture)
         assert stats["Cloudflare"].dominant_length == 20
         assert stats["Facebook"].dominant_length == 8
 
@@ -125,7 +125,7 @@ class TestPacketMixConsistency:
         """Coalescence at the packet level implies shorter sessions."""
         from repro.core.session import SessionStore
 
-        mix = packet_mix(small_capture.backscatter)
+        mix = packet_mix(small_capture, backscatter_only=True)
         store = SessionStore.from_packets(small_capture.backscatter)
         fb = store.by_origin("Facebook")
         gg = store.by_origin("Google")

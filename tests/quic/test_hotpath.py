@@ -166,7 +166,8 @@ PACKET_PINS = {
 }
 
 #: (suite, pad_to) -> coalesced datagram digest.  The flight is 1365
-#: bytes, so no target here pads it; the token case below does.
+#: bytes, so only the 1452 target pads it (the padded tail of a
+#: coalesced datagram).
 DATAGRAM_PINS = {
     ("fast", 0): "a577d94012ed9f8747a873f8fba69acb8fa2b93f8cefc1f13bcd24fa7d83e2c9",
     ("fast", 1200): "a577d94012ed9f8747a873f8fba69acb8fa2b93f8cefc1f13bcd24fa7d83e2c9",
@@ -177,6 +178,9 @@ DATAGRAM_PINS = {
     ("rfc9001", 0): "8f9c957ab1ddfd53524b3d7666572687548ea3a136f27e8dd3b5d8f786b09b56",
     ("rfc9001", 1200): "8f9c957ab1ddfd53524b3d7666572687548ea3a136f27e8dd3b5d8f786b09b56",
     ("rfc9001", 1357): "8f9c957ab1ddfd53524b3d7666572687548ea3a136f27e8dd3b5d8f786b09b56",
+    ("fast", 1452): "6c636284c5a9bbda84e9cad33d0a1d419c5a9378753119106ec602d23ff1f460",
+    ("null", 1452): "7df60de43ae0150a08beb70b44b54a7799a92859ff086c235d401d1aeef8b847",
+    ("rfc9001", 1452): "156e28c470201bf1091d4a904c78ba416d6f334abf0bc524d7d8a24090f4d624",
 }
 
 #: Padded client Initial carrying a 16-byte token.
@@ -204,13 +208,14 @@ class TestTemplateParity:
         assert digests == PACKET_PINS[suite.name]
 
     @pytest.mark.parametrize("suite", SUITES, ids=lambda s: s.name)
-    @pytest.mark.parametrize("pad_to", (0, 1200, 1357))
+    @pytest.mark.parametrize("pad_to", (0, 1200, 1357, 1452))
     def test_encode_datagram_matches_rebuild(self, suite, pad_to):
         protection = suite(1, b"\x11" * 8)
         initial, handshake = _flight_packets()
         datagram = encode_datagram(
             [initial, handshake], protection, is_server=True, pad_to=pad_to
         )
+        assert len(datagram) == max(pad_to, 1365)
         assert _sha256(datagram) == DATAGRAM_PINS[suite.name, pad_to]
 
     def test_encode_datagram_with_token_matches_rebuild(self):
